@@ -183,7 +183,7 @@ class Fleet
         std::size_t queueShards = 0;
         /** Spin budget handed to the WorkerPool (kSpinAuto resolves
          *  from SIM_SPIN_BUDGET / oversubscription; fleet workers park
-         *  at one barrier per *batch*, not per tick, so yielding is
+         *  at one barrier per *batch*, not per tick, so parking is
          *  nearly free here). */
         int spinBudget = WorkerPool::kSpinAuto;
     };

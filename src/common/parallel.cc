@@ -54,6 +54,7 @@ WorkerPool::~WorkerPool()
     // Wake parked workers: they re-check stop_ whenever the epoch
     // advances.
     epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
     for (auto &w : workers_)
         w.join();
 }
@@ -62,16 +63,19 @@ void
 WorkerPool::await(const std::atomic<std::uint64_t> &flag,
                   std::uint64_t target) const
 {
-    // Spin briefly (a tick is typically microseconds away), then yield
-    // so an oversubscribed host still makes progress. spin_ is 0 when
-    // the pool is oversubscribed: yield immediately and hand the core
+    // Spin briefly (a tick is typically microseconds away), then park
+    // until the flag moves, so an idle pool costs no CPU. spin_ is 0
+    // when the pool is oversubscribed: park at once and hand the core
     // to whichever shard still has work.
     for (int spin = 0; spin < spin_; ++spin) {
         if (flag.load(std::memory_order_acquire) >= target)
             return;
     }
-    while (flag.load(std::memory_order_acquire) < target)
-        std::this_thread::yield();
+    std::uint64_t seen = flag.load(std::memory_order_acquire);
+    while (seen < target) {
+        flag.wait(seen, std::memory_order_acquire);
+        seen = flag.load(std::memory_order_acquire);
+    }
 }
 
 void
@@ -95,6 +99,7 @@ WorkerPool::workerLoop(unsigned shard)
             return;
         runShard(shard);
         done_.fetch_add(1, std::memory_order_release);
+        done_.notify_all();
     }
 }
 
@@ -111,6 +116,7 @@ WorkerPool::run(const std::function<void(unsigned)> &fn)
     done_.store(0, std::memory_order_relaxed);
     task_ = &fn;
     epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
     runShard(0);
     await(done_, threads_ - 1);
     task_ = nullptr;

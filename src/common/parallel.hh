@@ -14,16 +14,18 @@
  * Design points:
  *  - Workers are created once and parked between ticks; a tick costs
  *    two generation-counted barrier crossings, not thread creation.
- *  - Waiting spins briefly and then yields; the pool targets machines
- *    where every hardware thread is running a shard, so sleeping on a
- *    condition variable per tick would dominate short cycles.
+ *  - Waiting spins briefly and then parks in std::atomic::wait; the
+ *    code that advances a barrier counter calls notify_all. Short
+ *    cycles finish inside the spin, and an idle pool (a fleet between
+ *    batches, a daemon with no jobs) sleeps instead of burning a core
+ *    per worker.
  *  - The spin budget adapts to the host: when the pool asks for more
  *    shards than the machine has hardware threads (a fleet of
  *    machines nesting intra-machine pools, or a CI container pinned
  *    to one CPU), spinning only steals cycles from the thread that
- *    would let the barrier complete, so oversubscribed pools go
- *    yield-first. `SIM_SPIN_BUDGET` overrides the budget explicitly
- *    (0 = always yield), for experiments and stubborn hosts.
+ *    would let the barrier complete, so oversubscribed pools park
+ *    at once. `SIM_SPIN_BUDGET` overrides the budget explicitly
+ *    (0 = never spin), for experiments and stubborn hosts.
  *  - Exceptions thrown by shard functions are captured and the
  *    lowest-indexed shard's exception is rethrown from run() after the
  *    barrier, so a failing cycle cannot leave workers running.
@@ -52,10 +54,10 @@ class WorkerPool
      * @param threads total shard count, including the calling thread;
      *                clamped below by 1. `threads - 1` host threads are
      *                spawned.
-     * @param spinBudget barrier spin iterations before falling back to
-     *                yielding; kSpinAuto (the default) resolves to the
+     * @param spinBudget barrier spin iterations before parking;
+     *                kSpinAuto (the default) resolves to the
      *                SIM_SPIN_BUDGET environment variable when set,
-     *                otherwise to 0 (yield immediately) when `threads`
+     *                otherwise to 0 (park immediately) when `threads`
      *                exceeds the hardware concurrency and to
      *                kDefaultSpin on a machine with a core per shard.
      */
@@ -92,7 +94,8 @@ class WorkerPool
     void workerLoop(unsigned shard);
     void runShard(unsigned shard);
 
-    /** Spin-then-yield wait until `flag` reaches `target`. */
+    /** Spin-then-park wait until `flag` reaches `target`. Whoever
+     *  advances `flag` must call notify_all() on it. */
     void await(const std::atomic<std::uint64_t> &flag,
                std::uint64_t target) const;
 

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -171,14 +173,7 @@ Daemon::Daemon(const DaemonConfig &cfg) : cfg_(cfg)
 
 Daemon::~Daemon()
 {
-    if (executor_.joinable()) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stop_ = Stop::Immediate;
-        }
-        cv_.notify_all();
-        executor_.join();
-    }
+    joinExecutors();
     closeAll();
 }
 
@@ -221,7 +216,8 @@ Daemon::start()
         std::make_unique<serve::VnFleet>(cfg_.vnMachine, cfg_.fleet);
     jobsPerWorker_.assign(fleet_->workers(), 0);
 
-    executor_ = std::thread([this] { executorLoop(); });
+    for (unsigned w = 0; w < fleet_->workers(); ++w)
+        executors_.emplace_back([this, w] { executorLoop(w); });
 }
 
 void
@@ -238,136 +234,114 @@ Daemon::wakeLoop()
     [[maybe_unused]] const ssize_t n = ::write(wakePipe_[1], &byte, 1);
 }
 
-// ---- executor ------------------------------------------------------
+// ---- executors -----------------------------------------------------
 
 void
-Daemon::executorLoop()
+Daemon::executorLoop(unsigned worker)
 {
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
         cv_.wait(lk, [this] {
             return stop_ != Stop::None || !queue_.empty();
         });
-        if (stop_ == Stop::Immediate)
+        // A signal leaves queued jobs to the autosave; a drain leaves
+        // once the queue is empty.
+        if (stop_ == Stop::Immediate || queue_.empty())
             break;
-        if (queue_.empty()) {
-            if (stop_ == Stop::Drain)
-                break;
-            continue;
-        }
-        // Take everything queued as one batch per tier; new submits
-        // queue behind it and form the next batch.
-        std::vector<std::uint64_t> ttdaIds, vnIds;
-        while (!queue_.empty()) {
-            const std::uint64_t id = queue_.front();
-            queue_.pop_front();
-            JobRecord &rec = jobs_.at(id);
-            rec.state = JobState::Running;
-            (rec.spec.tier == Tier::Vn ? vnIds : ttdaIds).push_back(id);
-        }
-        ++batches_;
-        if (!ttdaIds.empty())
-            runTtdaBatch(std::move(ttdaIds), lk);
-        if (!vnIds.empty())
-            runVnBatch(std::move(vnIds), lk);
+        const std::uint64_t id = queue_.front();
+        queue_.pop_front();
+        ++jobsPerWorker_[worker];
+        runJob(worker, id, lk);
     }
-    execDone_ = true;
+    ++execExited_;
     lk.unlock();
     wakeLoop();
 }
 
 void
-Daemon::runTtdaBatch(std::vector<std::uint64_t> ids,
-                     std::unique_lock<std::mutex> &lk)
+Daemon::runJob(unsigned worker, std::uint64_t id,
+               std::unique_lock<std::mutex> &lk)
 {
-    std::vector<serve::FleetJob> batch;
-    batch.reserve(ids.size());
-    for (const std::uint64_t id : ids) {
-        const JobSpec &spec = jobs_.at(id).spec;
-        serve::FleetJob job;
-        job.cb = workloadCb_.at(spec.workload);
-        job.faults = spec.faults; // already resolved at admission
+    // jobs_ nodes are never erased, so rec stays valid while the lock
+    // is dropped; its spec is immutable after admission.
+    JobRecord &rec = jobs_.at(id);
+    rec.state = JobState::Running;
+    const JobSpec &spec = rec.spec;
+    lk.unlock();
+
+    serve::FleetJobResult result;
+    serve::VnFleetJobResult vnResult;
+    std::string error;
+    try {
         const auto arrivals = workloads::arrivalSchedule(
             spec.arrival, static_cast<std::size_t>(spec.requests));
-        job.requests.reserve(arrivals.size());
-        for (const sim::Cycle at : arrivals)
-            job.requests.push_back({spec.args, at});
-        batch.push_back(std::move(job));
+        if (spec.tier == Tier::Vn) {
+            serve::VnFleetJob job;
+            job.requests.reserve(arrivals.size());
+            for (std::size_t i = 0; i < arrivals.size(); ++i) {
+                workloads::VnRequest req;
+                req.arrival = arrivals[i];
+                req.loads = spec.vnLoads;
+                req.computePerLoad = spec.vnComputePerLoad;
+                req.addr = i * spec.vnStride;
+                req.stride = spec.vnStride;
+                req.addrSpace = cfg_.vnMachine.wordsPerModule *
+                                cfg_.vnMachine.numCores;
+                job.requests.push_back(req);
+            }
+            vnResult = vnFleet_->runOne(job);
+        } else {
+            serve::FleetJob job;
+            job.cb = workloadCb_.at(spec.workload);
+            job.faults = spec.faults; // already resolved at admission
+            job.requests.reserve(arrivals.size());
+            for (const sim::Cycle at : arrivals)
+                job.requests.push_back({spec.args, at});
+            result = fleet_->runOne(worker, job, id);
+        }
+    } catch (const std::exception &e) {
+        error = e.what();
     }
 
-    lk.unlock();
-    std::vector<serve::FleetJobResult> results = fleet_->run(batch);
     lk.lock();
-
-    steals_ += fleet_->steals();
-    const auto &perWorker = fleet_->jobsPerWorker();
-    for (std::size_t w = 0;
-         w < perWorker.size() && w < jobsPerWorker_.size(); ++w)
-        jobsPerWorker_[w] += perWorker[w];
-
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        JobRecord &rec = jobs_.at(ids[i]);
-        rec.result = std::move(results[i]);
+    const bool vn = spec.tier == Tier::Vn;
+    if (vn)
+        rec.vnResult = std::move(vnResult);
+    else
+        rec.result = std::move(result);
+    auto frame = sim::json::Value::obj();
+    frame.set("frame", sim::json::Value::str("job"));
+    frame.set("id", jnum(id));
+    if (error.empty()) {
+        const std::uint64_t completed =
+            vn ? rec.vnResult.completed : rec.result.completed;
         rec.state = JobState::Done;
-        requestsCompleted_ += rec.result.completed;
-        auto frame = sim::json::Value::obj();
-        frame.set("frame", sim::json::Value::str("job"));
-        frame.set("id", jnum(rec.id));
+        requestsCompleted_ += completed;
         frame.set("state", sim::json::Value::str("done"));
-        frame.set("cycles", jnum(rec.result.cycles));
-        frame.set("completed", jnum(rec.result.completed));
-        pushFrame(frame);
+        frame.set("cycles", jnum(vn ? rec.vnResult.cycles
+                                    : rec.result.cycles));
+        frame.set("completed", jnum(completed));
+    } else {
+        rec.state = JobState::Failed;
+        rec.error = std::move(error);
+        frame.set("state", sim::json::Value::str("failed"));
     }
+    pushFrame(frame);
     wakeLoop();
 }
 
 void
-Daemon::runVnBatch(std::vector<std::uint64_t> ids,
-                   std::unique_lock<std::mutex> &lk)
+Daemon::joinExecutors()
 {
-    std::vector<serve::VnFleetJob> batch;
-    batch.reserve(ids.size());
-    const std::uint64_t words =
-        cfg_.vnMachine.wordsPerModule * cfg_.vnMachine.numCores;
-    for (const std::uint64_t id : ids) {
-        const JobSpec &spec = jobs_.at(id).spec;
-        serve::VnFleetJob job;
-        const auto arrivals = workloads::arrivalSchedule(
-            spec.arrival, static_cast<std::size_t>(spec.requests));
-        job.requests.reserve(arrivals.size());
-        for (std::size_t i = 0; i < arrivals.size(); ++i) {
-            workloads::VnRequest req;
-            req.arrival = arrivals[i];
-            req.loads = spec.vnLoads;
-            req.computePerLoad = spec.vnComputePerLoad;
-            req.addr = i * spec.vnStride;
-            req.stride = spec.vnStride;
-            req.addrSpace = words;
-            job.requests.push_back(req);
-        }
-        batch.push_back(std::move(job));
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (stop_ == Stop::None)
+            stop_ = Stop::Immediate;
     }
-
-    lk.unlock();
-    std::vector<serve::VnFleetJobResult> results =
-        vnFleet_->run(batch);
-    lk.lock();
-
-    steals_ += vnFleet_->steals();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        JobRecord &rec = jobs_.at(ids[i]);
-        rec.vnResult = std::move(results[i]);
-        rec.state = JobState::Done;
-        requestsCompleted_ += rec.vnResult.completed;
-        auto frame = sim::json::Value::obj();
-        frame.set("frame", sim::json::Value::str("job"));
-        frame.set("id", jnum(rec.id));
-        frame.set("state", sim::json::Value::str("done"));
-        frame.set("cycles", jnum(rec.vnResult.cycles));
-        frame.set("completed", jnum(rec.vnResult.completed));
-        pushFrame(frame);
-    }
-    wakeLoop();
+    cv_.notify_all();
+    for (std::thread &t : executors_)
+        t.join();
+    executors_.clear();
 }
 
 // ---- request handling ----------------------------------------------
@@ -399,6 +373,14 @@ Daemon::opSubmit(const sim::json::Value &req)
         const auto &args = req.get("args");
         for (std::size_t i = 0; i < args.size(); ++i)
             spec.args.push_back(valueFromJson(args.at(i)));
+    }
+    if (spec.tier == Tier::Ttda) {
+        const std::size_t params =
+            program_.codeBlock(workloadCb_.at(spec.workload)).numParams;
+        if (spec.args.size() != params)
+            return reject(sim::format(
+                "workload \"{}\" takes {} args, got {}", spec.workload,
+                params, spec.args.size()));
     }
     if (req.has("requests"))
         spec.requests = req.get("requests").asU64();
@@ -479,7 +461,7 @@ Daemon::opSubmit(const sim::json::Value &req)
     jobs_.emplace(id, std::move(rec));
     queue_.push_back(id);
     ++admitted_;
-    cv_.notify_all();
+    cv_.notify_one();
 
     auto resp = jok();
     resp.set("id", jnum(id));
@@ -517,11 +499,14 @@ Daemon::opStatus()
     srvGauges.set("admitted", jnum(admitted_));
     srvGauges.set("rejected", jnum(rejected_));
     srvGauges.set("requestsCompleted", jnum(requestsCompleted_));
-    srvGauges.set("batches", jnum(batches_));
+    // One dispatch per job, under the status protocol's existing name.
+    srvGauges.set("batches",
+                  jnum(std::accumulate(jobsPerWorker_.begin(),
+                                       jobsPerWorker_.end(),
+                                       std::uint64_t{0})));
     resp.set("srv", std::move(srvGauges));
     auto fleet = sim::json::Value::obj();
     fleet.set("workers", jnum(fleet_ ? fleet_->workers() : 0));
-    fleet.set("steals", jnum(steals_));
     auto perWorker = sim::json::Value::arr();
     for (const std::uint64_t n : jobsPerWorker_)
         perWorker.push(jnum(n));
@@ -609,11 +594,11 @@ Daemon::opRestore(const sim::json::Value &req)
         if (draining_)
             return jerr("daemon is draining");
     }
-    loadCheckpoint(path);
+    const std::size_t pending = loadCheckpoint(path);
     std::lock_guard<std::mutex> lk(mu_);
     auto resp = jok();
     resp.set("jobs", jnum(jobs_.size()));
-    resp.set("pending", jnum(queue_.size()));
+    resp.set("pending", jnum(pending));
     return resp;
 }
 
@@ -724,7 +709,7 @@ Daemon::serve()
             }
             std::lock_guard<std::mutex> lk(mu_);
             draining_ = true;
-            stop_ = Stop::Immediate; // finish in-flight batch only
+            stop_ = Stop::Immediate; // finish in-flight jobs only
             cv_.notify_all();
         }
         if (pfds[2].revents & POLLIN) { // executor wakeup
@@ -740,6 +725,11 @@ Daemon::serve()
                 if (fd < 0)
                     break;
                 setNonBlocking(fd);
+                // Replies and done frames are small writes; without
+                // this, each waits for the peer's delayed ACK (Nagle).
+                const int one = 1;
+                ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                             sizeof one);
                 Conn conn;
                 conn.fd = fd;
                 conns_.push_back(std::move(conn));
@@ -819,7 +809,8 @@ Daemon::serve()
 
         {
             std::lock_guard<std::mutex> lk(mu_);
-            if (!stopping && stop_ != Stop::None && execDone_) {
+            if (!stopping && stop_ != Stop::None &&
+                execExited_ == executors_.size()) {
                 stopping = true;
                 stopMode = stop_;
             }
@@ -833,6 +824,9 @@ Daemon::serve()
                 break;
         }
     }
+
+    // No executor may touch the wake pipe once closeAll() runs.
+    joinExecutors();
 
     // Signal-path exit: still-queued jobs were never started; persist
     // them so a restored daemon can re-run them deterministically.
@@ -1007,7 +1001,7 @@ Daemon::saveCheckpoint(const std::string &path)
         throw std::runtime_error("short write to \"" + path + "\"");
 }
 
-void
+std::size_t
 Daemon::loadCheckpoint(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
@@ -1043,9 +1037,14 @@ Daemon::loadCheckpoint(const std::string &path)
         if (rec.id >= nextId)
             r.fail("job id past the id counter");
         rec.spec = loadSpec(r);
-        if (rec.spec.tier == Tier::Ttda &&
-            !workloadCb_.count(rec.spec.workload))
-            r.fail("checkpoint references an unknown workload");
+        if (rec.spec.tier == Tier::Ttda) {
+            const auto cb = workloadCb_.find(rec.spec.workload);
+            if (cb == workloadCb_.end())
+                r.fail("checkpoint references an unknown workload");
+            if (rec.spec.args.size() !=
+                program_.codeBlock(cb->second).numParams)
+                r.fail("checkpoint job has the wrong argument count");
+        }
         const std::uint8_t state = r.u8();
         if (state > static_cast<std::uint8_t>(JobState::Failed) ||
             state == static_cast<std::uint8_t>(JobState::Running))
@@ -1085,11 +1084,13 @@ Daemon::loadCheckpoint(const std::string &path)
     }
     r.expectEnd();
 
+    std::size_t pending = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (!jobs_.empty())
             throw std::runtime_error(
                 "restore requires an empty job table");
+        pending = queue.size();
         jobs_ = std::move(jobs);
         queue_ = std::move(queue);
         nextId_ = nextId;
@@ -1100,6 +1101,7 @@ Daemon::loadCheckpoint(const std::string &path)
     }
     if (wakePipe_[1] >= 0)
         wakeLoop();
+    return pending;
 }
 
 } // namespace srv

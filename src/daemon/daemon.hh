@@ -5,10 +5,13 @@
  *
  * One process holds warm machine fleets (serve::TtdaFleet replicas
  * constructed once, recycled per job through Machine::reset(); a
- * serve::VnFleet for the von Neumann tier) and dispatches submitted
- * jobs onto them from an executor thread, while a poll()-based network
- * loop keeps accepting requests — so status/result queries stay
- * responsive while batches run.
+ * serve::VnFleet for the von Neumann tier) and runs submitted jobs on
+ * one executor thread per fleet worker: each executor pops the next
+ * queued job, runs it on its own replica, and publishes the result,
+ * so a free worker never waits for a busy one. A poll()-based network
+ * loop keeps accepting requests meanwhile, so status/result queries
+ * stay responsive while jobs run, and every accepted socket sets
+ * TCP_NODELAY so a job's reply and done frame leave at once.
  *
  * Protocol (one JSON object per line, one reply per line):
  *
@@ -24,8 +27,8 @@
  *
  * Determinism: a job's result is a pure function of its spec and the
  * daemon's machine configuration. Fault plans with seed 0 are resolved
- * against the *daemon-global job id* at admission (never the batch
- * index or the worker), so re-running a checkpointed pending job — in
+ * against the *daemon-global job id* at admission (never the dispatch
+ * order or the worker), so re-running a checkpointed pending job — in
  * this process or a restored one — reproduces the original result
  * bit-for-bit. Checkpoints store completed results verbatim and
  * pending specs for deterministic re-execution; the checkpoint file
@@ -36,7 +39,8 @@
  * Shutdown paths:
  *  - {"op":"shutdown"}: stop admitting, run every queued job, exit.
  *  - SIGINT/SIGTERM (self-pipe): stop admitting, finish the in-flight
- *    batch, auto-checkpoint still-queued jobs to cfg.autosavePath.
+ *    jobs (at most one per worker), auto-checkpoint still-queued jobs
+ *    to cfg.autosavePath.
  */
 
 #ifndef TTDA_DAEMON_DAEMON_HH
@@ -119,7 +123,7 @@ struct DaemonConfig
 
 /**
  * The daemon. Usage: construct, start() (binds the socket and spawns
- * the executor; port() is valid after), then serve() on the thread
+ * the executors; port() is valid after), then serve() on the thread
  * that should block in the network loop. requestShutdown() is the
  * programmatic SIGTERM — signal handlers call signalFd() writes.
  */
@@ -132,8 +136,8 @@ class Daemon
     Daemon(const Daemon &) = delete;
     Daemon &operator=(const Daemon &) = delete;
 
-    /** Bind + listen + spawn the executor thread. Throws
-     *  std::runtime_error on socket failure. */
+    /** Bind + listen + spawn one executor thread per fleet worker.
+     *  Throws std::runtime_error on socket failure. */
     void start();
 
     /** The bound port (valid after start()). */
@@ -142,7 +146,7 @@ class Daemon
     /** Run the poll() loop; returns when the daemon has shut down. */
     void serve();
 
-    /** Trigger the signal-path shutdown (finish in-flight batch,
+    /** Trigger the signal-path shutdown (finish in-flight jobs,
      *  auto-checkpoint queued jobs). Async-signal-safe. */
     void requestShutdown();
 
@@ -155,8 +159,10 @@ class Daemon
     void saveCheckpoint(const std::string &path);
 
     /** Load a checkpoint into an idle daemon (call before serve(), or
-     *  via the restore op while the job table is empty). */
-    void loadCheckpoint(const std::string &path);
+     *  via the restore op while the job table is empty). Returns the
+     *  number of unfinished jobs it queued, counted under the same
+     *  lock that installs them. */
+    std::size_t loadCheckpoint(const std::string &path);
 
   private:
     struct Conn
@@ -172,14 +178,13 @@ class Daemon
     {
         None = 0,
         Drain = 1,    //!< shutdown op: run every queued job first
-        Immediate = 2 //!< signal: finish in-flight batch only
+        Immediate = 2 //!< signal: finish in-flight jobs only
     };
 
-    void executorLoop();
-    void runTtdaBatch(std::vector<std::uint64_t> ids,
-                      std::unique_lock<std::mutex> &lk);
-    void runVnBatch(std::vector<std::uint64_t> ids,
-                    std::unique_lock<std::mutex> &lk);
+    void executorLoop(unsigned worker);
+    void runJob(unsigned worker, std::uint64_t id,
+                std::unique_lock<std::mutex> &lk);
+    void joinExecutors();
     void wakeLoop();
 
     // Request handling (network thread; lock taken inside).
@@ -204,10 +209,10 @@ class Daemon
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
     int sigPipe_[2] = {-1, -1};  //!< signal self-pipe
-    int wakePipe_[2] = {-1, -1}; //!< executor -> network loop
+    int wakePipe_[2] = {-1, -1}; //!< executors -> network loop
     std::vector<Conn> conns_;
 
-    std::thread executor_;
+    std::vector<std::thread> executors_; //!< executor w runs replica w
 
     // Shared state; everything below is guarded by mu_.
     mutable std::mutex mu_;
@@ -217,13 +222,11 @@ class Daemon
     std::uint64_t nextId_ = 1;
     Stop stop_ = Stop::None;
     bool draining_ = false;  //!< no further admissions
-    bool execDone_ = false;  //!< executor thread has exited its loop
+    unsigned execExited_ = 0; //!< executors that have left their loop
     std::uint64_t admitted_ = 0;
     std::uint64_t rejected_ = 0;
     std::uint64_t requestsCompleted_ = 0;
-    std::uint64_t batches_ = 0;
-    std::uint64_t steals_ = 0; //!< accumulated across batches
-    std::vector<std::uint64_t> jobsPerWorker_; //!< accumulated
+    std::vector<std::uint64_t> jobsPerWorker_; //!< jobs each executor took
     std::vector<std::string> pendingFrames_;
 };
 

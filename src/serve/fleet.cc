@@ -3,6 +3,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/logging.hh"
+
 namespace serve
 {
 
@@ -56,33 +58,40 @@ std::vector<FleetJobResult>
 TtdaFleet::run(const std::vector<FleetJob> &jobs)
 {
     std::vector<FleetJobResult> results(jobs.size());
-    const std::uint64_t machineSeed =
-        replicas_.empty() ? 0 : replicas_[0]->config().seed;
-
     fleet_.run(jobs.size(), [&](unsigned worker, std::size_t j) {
-        ttda::Machine &m = *replicas_[worker];
-        const FleetJob &job = jobs[j];
-        m.reset();
-        m.setFaultPlan(jobPlan(job, j, machineSeed));
-        for (const FleetRequest &req : job.requests)
-            m.submit(job.cb, req.args, req.arrival);
-
-        FleetJobResult &r = results[j];
-        r.worker = worker;
-        r.outputs = m.serve();
-        r.cycles = m.cycles();
-        r.deadlocked = m.deadlocked();
-        r.submitted = m.requestsSubmitted();
-        r.completed = m.requestsCompleted();
-        r.watermarkHits = m.watermarkHits();
-        r.latency = m.requestLatency();
-        if (cfg_.captureStatsJson) {
-            std::ostringstream os;
-            m.dumpStatsJson(os);
-            r.statsJson = os.str();
-        }
+        results[j] = runOne(worker, jobs[j], j);
     });
     return results;
+}
+
+FleetJobResult
+TtdaFleet::runOne(unsigned worker, const FleetJob &job,
+                  std::size_t jobIndex)
+{
+    SIM_ASSERT_MSG(worker < replicas_.size(),
+                   "worker {} out of range ({} replicas)", worker,
+                   replicas_.size());
+    ttda::Machine &m = *replicas_[worker];
+    m.reset();
+    m.setFaultPlan(jobPlan(job, jobIndex, m.config().seed));
+    for (const FleetRequest &req : job.requests)
+        m.submit(job.cb, req.args, req.arrival);
+
+    FleetJobResult r;
+    r.worker = worker;
+    r.outputs = m.serve();
+    r.cycles = m.cycles();
+    r.deadlocked = m.deadlocked();
+    r.submitted = m.requestsSubmitted();
+    r.completed = m.requestsCompleted();
+    r.watermarkHits = m.watermarkHits();
+    r.latency = m.requestLatency();
+    if (cfg_.captureStatsJson) {
+        std::ostringstream os;
+        m.dumpStatsJson(os);
+        r.statsJson = os.str();
+    }
+    return r;
 }
 
 sim::Histogram
@@ -105,20 +114,26 @@ std::vector<VnFleetJobResult>
 VnFleet::run(const std::vector<VnFleetJob> &jobs)
 {
     std::vector<VnFleetJobResult> results(jobs.size());
-
     fleet_.run(jobs.size(), [&](unsigned, std::size_t j) {
-        vn::VnMachine m(machineCfg_);
-        workloads::VnServeDriver drv(m, jobs[j].requests);
-        drv.attach();
-        m.run();
-
-        VnFleetJobResult &r = results[j];
-        r.cycles = m.cycles();
-        r.submitted = drv.submitted();
-        r.completed = drv.completed();
-        r.latency = drv.latency();
+        results[j] = runOne(jobs[j]);
     });
     return results;
+}
+
+VnFleetJobResult
+VnFleet::runOne(const VnFleetJob &job) const
+{
+    vn::VnMachine m(machineCfg_);
+    workloads::VnServeDriver drv(m, job.requests);
+    drv.attach();
+    m.run();
+
+    VnFleetJobResult r;
+    r.cycles = m.cycles();
+    r.submitted = drv.submitted();
+    r.completed = drv.completed();
+    r.latency = drv.latency();
+    return r;
 }
 
 } // namespace serve

@@ -112,6 +112,14 @@ class TtdaFleet
      *  for any worker count / steal order. */
     std::vector<FleetJobResult> run(const std::vector<FleetJob> &jobs);
 
+    /** Serve one job on replica `worker` (< workers()): the result
+     *  run() would give the job at index `jobIndex` (which seeds a
+     *  seed-0 fault plan). Calls for distinct workers may run
+     *  concurrently; calls for one worker must not overlap, and none
+     *  may overlap run(). */
+    FleetJobResult runOne(unsigned worker, const FleetJob &job,
+                          std::size_t jobIndex);
+
     unsigned workers() const { return fleet_.workers(); }
     /** Host-order observability from the last run() (informational). */
     std::uint64_t steals() const { return fleet_.steals(); }
@@ -160,6 +168,10 @@ class VnFleet
 
     std::vector<VnFleetJobResult>
     run(const std::vector<VnFleetJob> &jobs);
+
+    /** Serve one job on a fresh machine. Safe to call from any number
+     *  of threads at once. */
+    VnFleetJobResult runOne(const VnFleetJob &job) const;
 
     unsigned workers() const { return fleet_.workers(); }
     std::uint64_t steals() const { return fleet_.steals(); }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
@@ -123,6 +126,27 @@ TEST(WorkerPool, DestructionJoinsCleanly)
 TEST(WorkerPool, DestructionWithoutAnyRun)
 {
     sim::WorkerPool pool(4); // park and immediately shut down
+}
+
+/** CPU time used so far by every thread of this process, in ms. */
+double
+processCpuMs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST(WorkerPool, IdleWorkersPark)
+{
+    // Past the spin budget an idle worker sleeps until the next run():
+    // three idle workers must not burn three cores between batches.
+    sim::WorkerPool pool(4);
+    pool.run([](unsigned) {});
+    const double before = processCpuMs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_LT(processCpuMs() - before, 20.0);
 }
 
 // ---- spin-budget resolution --------------------------------------

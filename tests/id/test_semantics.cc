@@ -6,6 +6,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "common/format.hh"
 #include "id/codegen.hh"
@@ -35,6 +36,13 @@ struct PrecedenceCase
     std::int64_t x;
     std::int64_t expect;
 };
+
+// Without this gtest prints the case as raw bytes, pointer included, and
+// the discovered test names change with every address-space layout.
+void PrintTo(const PrecedenceCase &tc, std::ostream *os)
+{
+    *os << tc.expr << " [x=" << tc.x << "]";
+}
 
 class Precedence : public ::testing::TestWithParam<PrecedenceCase>
 {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +119,19 @@ TEST(TtdaFleet, BitIdenticalAcrossWorkerCounts)
     }
     expectIdentical(w1, runFleet(program, 2, jobs), "w2 vs w1");
     expectIdentical(w1, runFleet(program, 4, jobs), "w4 vs w1");
+
+    // One job at a time on any replica (the daemon's per-worker
+    // dispatch) serves it exactly as run() does.
+    serve::FleetConfig fc;
+    fc.workers = 4;
+    fc.captureStatsJson = true;
+    serve::TtdaFleet fleet(program, machineConfig(), fc);
+    for (unsigned w = 0; w < fleet.workers(); ++w) {
+        std::vector<serve::FleetJobResult> one;
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            one.push_back(fleet.runOne(w, jobs[j], j));
+        expectIdentical(w1, one, "runOne on replica " + std::to_string(w));
+    }
 }
 
 TEST(TtdaFleet, MatchesSingleMachineServing)
@@ -223,12 +237,16 @@ TEST(VnFleet, BitIdenticalAcrossWorkerCounts)
     ASSERT_EQ(w1.size(), jobs.size());
     for (const auto &r : w1)
         EXPECT_EQ(r.completed, r.submitted);
-    for (const unsigned w : {2u, 4u}) {
-        const auto wn = runAt(w);
+    const serve::VnFleet fleet(cfg);
+    std::vector<serve::VnFleetJobResult> one;
+    for (const auto &job : jobs)
+        one.push_back(fleet.runOne(job));
+    const std::pair<std::string, std::vector<serve::VnFleetJobResult>>
+        runs[] = {{"w2", runAt(2)}, {"w4", runAt(4)}, {"runOne", one}};
+    for (const auto &[label, wn] : runs) {
         ASSERT_EQ(wn.size(), w1.size());
         for (std::size_t j = 0; j < w1.size(); ++j) {
-            SCOPED_TRACE("w" + std::to_string(w) + " job " +
-                         std::to_string(j));
+            SCOPED_TRACE(label + " job " + std::to_string(j));
             EXPECT_EQ(wn[j].cycles, w1[j].cycles);
             EXPECT_EQ(wn[j].completed, w1[j].completed);
             EXPECT_EQ(wn[j].latency.bins(), w1[j].latency.bins());
