@@ -17,10 +17,14 @@
 # same-process ratio, noise-tolerant like the emul speedups), and
 # brownout rows ("faulted": true) are degradation measurements —
 # informational only. Fleet rows ("workers" > 1, and "mode": "fleet"
-# in BENCH_emul.json) measure host-parallel scaling — informational
-# (a 1-CPU runner scales at ~1.0x); their 1-worker twins keep the
-# hostMs floor and the bench binaries fatal on any cross-worker-count
-# result divergence.
+# in BENCH_emul.json) measure host-parallel scaling. The fleet is the
+# simulator's only host parallelism, so on a runner with at least 4
+# CPUs (nproc) the 4-worker rows are gated: ttda_fleet_w4 and
+# vn_fleet_w4 must reach fleetScaling >= 2.0 and every */fleet/w4 emul
+# row speedup >= 2.0 (w4 at least twice as fast as w1). Below 4 CPUs
+# the scaling rows stay informational (a 1-CPU runner scales at
+# ~1.0x). The 1-worker twins keep the hostMs floor, and the bench
+# binaries fatal on any cross-worker-count result divergence.
 #
 # Configs present in only one of the two files (new benchmarks, or a
 # renamed baseline entry) are reported but do not fail the guard.
@@ -61,10 +65,16 @@ trap 'rm -rf "$OUT_DIR"' EXIT
 python3 - "$BASELINE" "$OUT_DIR/current.json" "$THRESHOLD" \
     "$FAULTS_BASELINE" "$OUT_DIR/faults.json" \
     "$EMUL_BASELINE" "$OUT_DIR/emul.json" \
-    "$SERVE_BASELINE" "$OUT_DIR/serve.json" <<'EOF'
+    "$SERVE_BASELINE" "$OUT_DIR/serve.json" "$(nproc)" <<'EOF'
 import json, sys
 
 baseline_path, current_path, threshold = sys.argv[1], sys.argv[2], float(sys.argv[3])
+# Fleet scaling gate: 4 workers must run at least FLEET_MIN_SCALING
+# times faster than 1 on a host with at least FLEET_GATE_NPROC CPUs.
+nproc = int(sys.argv[10])
+FLEET_GATE_NPROC = 4
+FLEET_MIN_SCALING = 2.0
+fleet_gated = nproc >= FLEET_GATE_NPROC
 baseline = {r["name"]: r for r in json.load(open(baseline_path))["runs"]}
 current = {r["name"]: r for r in json.load(open(current_path))["runs"]}
 
@@ -108,9 +118,19 @@ if len(sys.argv) > 7:
             continue
         if base["mode"] == "fleet":
             # Fleet rows report host-time *scaling* vs the 1-worker
-            # fleet in "speedup" — a core-count fact of the host
-            # (~1.0 on a 1-CPU runner), never a gated quantity. The
-            # bit-identity assertion lives in the bench binary itself.
+            # fleet in "speedup" — a core-count fact of the host, so
+            # only the w4 rows are gated, and only on a host with the
+            # cores to scale. The bit-identity assertion lives in the
+            # bench binary itself.
+            if fleet_gated and base["name"].endswith("/fleet/w4"):
+                verdict = ("FAIL" if cur["speedup"] < FLEET_MIN_SCALING
+                           else "ok")
+                print(f"bench_guard: {verdict:4} {base['name']:24} scaling "
+                      f"{cur['speedup']:7.2f}x (needs >= "
+                      f"{FLEET_MIN_SCALING:.1f}x on {nproc} CPUs)")
+                if verdict == "FAIL":
+                    failed.append(base["name"])
+                continue
             print(f"bench_guard: info {base['name']:24} scaling "
                   f"{base['speedup']:7.2f}x -> {cur['speedup']:7.2f}x")
             continue
@@ -158,9 +178,21 @@ if len(sys.argv) > 9:
         if base.get("workers", 0) > 1:
             # Multi-worker fleet rows measure host-parallel scaling —
             # a property of the runner's core count, ~1.0 on a 1-CPU
-            # host. Informational; the 1-worker fleet row keeps the
-            # hostMs gating floor, and the bench binary fatals if any
-            # worker count changes a result bit.
+            # host. The w4 rows are gated on a host with >= 4 CPUs;
+            # the rest are informational. The 1-worker fleet row keeps
+            # the hostMs gating floor, and the bench binary fatals if
+            # any worker count changes a result bit.
+            if fleet_gated and base["name"] in ("ttda_fleet_w4",
+                                                "vn_fleet_w4"):
+                scaling = cur.get("fleetScaling", 0)
+                verdict = "FAIL" if scaling < FLEET_MIN_SCALING else "ok"
+                print(f"bench_guard: {verdict:4} {base['name']:24} "
+                      f"{base['hostMs']:9.2f}ms -> {cur['hostMs']:9.2f}ms  "
+                      f"scaling {scaling:5.2f}x (needs >= "
+                      f"{FLEET_MIN_SCALING:.1f}x on {nproc} CPUs)")
+                if verdict == "FAIL":
+                    failed.append(base["name"])
+                continue
             print(f"bench_guard: info {base['name']:24} "
                   f"{base['hostMs']:9.2f}ms -> {cur['hostMs']:9.2f}ms  "
                   f"scaling {cur.get('fleetScaling', 0):5.2f}x")

@@ -2,14 +2,12 @@
  * @file
  * Deterministic job-level parallelism: the fleet engine.
  *
- * The WorkerPool parallelizes *within* one machine's tick — PEs
- * sharded across host threads, two barrier crossings per simulated
- * cycle. That shape saturates quickly on small configurations: an
- * 8-PE machine cannot keep 8 host threads busy through a barrier
- * every few microseconds. Serving workloads offer the missing layer:
- * *independent* jobs (whole simulation epochs) that need no
- * cross-job synchronization at all, the replica-pool shape inference
- * serving stacks use.
+ * This is the simulator's only host parallelism. A machine steps its
+ * own cycles on one thread: splitting one machine's PEs across
+ * threads needs a host barrier every simulated cycle, which costs
+ * more than a cycle's work. Serving workloads offer *independent* jobs
+ * (whole simulation epochs) that need no cross-job synchronization at
+ * all, the replica-pool shape inference serving stacks use.
  *
  * sim::Fleet runs K jobs across W workers:
  *
@@ -166,10 +164,10 @@ class CompletionRing
  * The fleet engine: a persistent WorkerPool draining a JobQueue.
  *
  * One Fleet is built per worker count and reused across batches (the
- * pool's threads persist, like the machines' intra-tick pool). Each
- * run() deals the batch across the queue lanes, runs every worker's
- * pull loop to quiescence, and leaves the completion ring and steal
- * count readable until the next run().
+ * pool's threads persist). Each run() deals the batch across the
+ * queue lanes, one per worker, runs every worker's pull loop to
+ * quiescence, and leaves the completion ring and steal count readable
+ * until the next run().
  */
 class Fleet
 {
@@ -179,13 +177,6 @@ class Fleet
         /** Worker count, including the calling thread (it runs jobs
          *  too, as worker 0). Clamped below by 1. */
         unsigned workers = 1;
-        /** Queue lanes; 0 = one per worker. */
-        std::size_t queueShards = 0;
-        /** Spin budget handed to the WorkerPool (kSpinAuto resolves
-         *  from SIM_SPIN_BUDGET / oversubscription; fleet workers park
-         *  at one barrier per *batch*, not per tick, so parking is
-         *  nearly free here). */
-        int spinBudget = WorkerPool::kSpinAuto;
     };
 
     explicit Fleet(Config cfg);
@@ -223,7 +214,6 @@ class Fleet
     }
 
   private:
-    Config cfg_;
     WorkerPool pool_;
     std::unique_ptr<JobQueue> queue_;
     std::unique_ptr<CompletionRing> ring_;

@@ -1,34 +1,29 @@
 /**
  * @file
- * A persistent worker pool for deterministic parallel simulation.
+ * A persistent worker pool: the threads behind sim::Fleet.
  *
- * The machines shard their processing elements across host threads and
- * run each simulated cycle as a two-phase tick: phase A computes every
- * shard's cycle into thread-local staging buffers, then — after the
- * pool's barrier — phase B commits the buffered effects in shard-index
- * order on the caller's thread. The pool provides exactly the primitive
- * that shape needs: run(fn) executes fn(shard) once per shard, with the
- * caller participating as shard 0, and returns only when every shard
- * has finished.
+ * Host parallelism in this simulator is job-level: a fleet runs whole,
+ * independent machine jobs side by side (common/fleet.hh); every
+ * machine steps its own cycles on one thread. The pool provides the
+ * primitive the fleet needs: run(fn) executes fn(shard) once per
+ * shard, with the caller participating as shard 0, and returns only
+ * when every shard has finished. The fleet calls it once per batch,
+ * and each shard loops over jobs until the queue is dry.
  *
  * Design points:
- *  - Workers are created once and parked between ticks; a tick costs
+ *  - Workers are created once and parked between runs; a run costs
  *    two generation-counted barrier crossings, not thread creation.
  *  - Waiting spins briefly and then parks in std::atomic::wait; the
- *    code that advances a barrier counter calls notify_all. Short
- *    cycles finish inside the spin, and an idle pool (a fleet between
- *    batches, a daemon with no jobs) sleeps instead of burning a core
- *    per worker.
- *  - The spin budget adapts to the host: when the pool asks for more
- *    shards than the machine has hardware threads (a fleet of
- *    machines nesting intra-machine pools, or a CI container pinned
- *    to one CPU), spinning only steals cycles from the thread that
- *    would let the barrier complete, so oversubscribed pools park
- *    at once. `SIM_SPIN_BUDGET` overrides the budget explicitly
- *    (0 = never spin), for experiments and stubborn hosts.
+ *    code that advances a barrier counter calls notify_all. An idle
+ *    pool (a fleet between batches, a daemon with no jobs) sleeps
+ *    instead of burning a core per worker.
+ *  - The spin adapts to the host: when the pool has more shards than
+ *    the machine has hardware threads (a CI container pinned to one
+ *    CPU), spinning only steals cycles from the thread that would let
+ *    the barrier complete, so an oversubscribed pool parks at once.
  *  - Exceptions thrown by shard functions are captured and the
  *    lowest-indexed shard's exception is rethrown from run() after the
- *    barrier, so a failing cycle cannot leave workers running.
+ *    barrier, so a failing run cannot leave workers running.
  *  - The destructor joins all workers; it must not be called from a
  *    shard function.
  */
@@ -53,24 +48,17 @@ class WorkerPool
     /**
      * @param threads total shard count, including the calling thread;
      *                clamped below by 1. `threads - 1` host threads are
-     *                spawned.
-     * @param spinBudget barrier spin iterations before parking;
-     *                kSpinAuto (the default) resolves to the
-     *                SIM_SPIN_BUDGET environment variable when set,
-     *                otherwise to 0 (park immediately) when `threads`
-     *                exceeds the hardware concurrency and to
-     *                kDefaultSpin on a machine with a core per shard.
+     *                spawned. Waits spin kDefaultSpin iterations before
+     *                parking when the host has a hardware thread per
+     *                shard, and park at once otherwise.
      */
-    explicit WorkerPool(unsigned threads, int spinBudget = kSpinAuto);
+    explicit WorkerPool(unsigned threads);
 
-    /** Sentinel: resolve the spin budget from the environment and the
-     *  host's core count (see the constructor). */
-    static constexpr int kSpinAuto = -1;
     /** Spin iterations used when every shard has a hardware thread. */
     static constexpr int kDefaultSpin = 4096;
 
-    /** The budget this pool resolved to (tests and diagnostics). */
-    int spinBudget() const { return spin_; }
+    /** Spin iterations before a wait parks (tests and diagnostics). */
+    int spinIterations() const { return spin_; }
 
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;

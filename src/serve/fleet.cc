@@ -11,16 +11,6 @@ namespace serve
 namespace
 {
 
-sim::Fleet::Config
-engineConfig(const FleetConfig &cfg)
-{
-    sim::Fleet::Config ec;
-    ec.workers = cfg.workers;
-    ec.queueShards = cfg.queueShards;
-    ec.spinBudget = cfg.spinBudget;
-    return ec;
-}
-
 /** Resolve a job's fault plan: seed 0 becomes a (machine seed, job
  *  id) derivation so two jobs with the same plan shape still draw
  *  independent fault streams — and the derivation is stable whatever
@@ -40,7 +30,7 @@ jobPlan(const FleetJob &job, std::size_t jobIndex,
 TtdaFleet::TtdaFleet(const graph::Program &program,
                      const ttda::MachineConfig &machine,
                      const FleetConfig &cfg)
-    : cfg_(cfg), fleet_(engineConfig(cfg))
+    : cfg_(cfg), fleet_({cfg.workers})
 {
     ttda::MachineConfig replicaCfg = machine;
     // W replicas interleaving events into one sink would be
@@ -105,7 +95,7 @@ TtdaFleet::mergedLatency(const std::vector<FleetJobResult> &results)
 
 VnFleet::VnFleet(const vn::VnMachineConfig &machine,
                  const FleetConfig &cfg)
-    : cfg_(cfg), fleet_(engineConfig(cfg)), machineCfg_(machine)
+    : cfg_(cfg), fleet_({cfg.workers}), machineCfg_(machine)
 {
     machineCfg_.metrics = nullptr; // same darkness rule as TtdaFleet
 }

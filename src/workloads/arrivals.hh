@@ -6,10 +6,10 @@
  * independent requests reach the machine. The generators are pure
  * functions of (config, n): one SplitMix64-seeded stream drives every
  * shape, exactly one draw is consumed per request, and nothing depends
- * on the machine or the host thread count — so a schedule is
- * bit-reproducible across runs, thread counts, and the two machine
- * tiers, and two shapes with the same seed see the same underlying
- * randomness (paired comparisons isolate the shape, not the stream).
+ * on the machine — so a schedule is bit-reproducible across runs and
+ * the two machine tiers, and two shapes with the same seed see the
+ * same underlying randomness (paired comparisons isolate the shape,
+ * not the stream).
  *
  * Shapes:
  *  - Poisson: memoryless arrivals at rate 1/meanGap — the classic

@@ -35,8 +35,8 @@ VnServeDriver::pull(std::uint32_t core, std::uint32_t ctx)
 {
     CtxState &cs = ctxs_[core * ctxsPerCore_ + ctx];
     // Trace sources are pulled from inside VnCore::step(now), and now_
-    // only advances at the serial end of the machine's step — reading
-    // it here is race-free and identical for any host thread count.
+    // only advances at the end of the machine's step — reading it here
+    // gives the cycle being stepped.
     const sim::Cycle now = machine_.cycles();
 
     if (!cs.active) {

@@ -2,7 +2,7 @@
  * @file
  * MetricsRecorder unit tests (sampling grid, decimation, exporter
  * schemas) and end-to-end determinism: the machine-sampled time
- * series must be bit-identical at any host thread count, and the
+ * series must be bit-identical on every replay, and the
  * lane VM must sample on its executed-instruction pseudo-time.
  */
 
@@ -187,14 +187,13 @@ TEST(MetricsRecorder, ResetAllowsSequentialRuns)
 /** One machine run of the trapezoid workload with sampling on;
  *  returns the recorded series as its JSON dump. */
 std::string
-machineSeries(std::uint32_t threads)
+machineSeries()
 {
     graph::Program p;
     const auto cb = workloads::buildTrapezoid(p);
     sim::MetricsRecorder rec(64);
     ttda::MachineConfig cfg;
     cfg.numPEs = 8;
-    cfg.threads = threads;
     cfg.netLatency = 2;
     cfg.metrics = &rec;
     ttda::Machine m(p, cfg);
@@ -209,27 +208,25 @@ machineSeries(std::uint32_t threads)
     return os.str();
 }
 
-TEST(MachineMetrics, BitIdenticalAcrossThreadCounts)
+TEST(MachineMetrics, SeriesIsBitIdenticalAcrossRuns)
 {
-    const std::string t1 = machineSeries(1);
-    EXPECT_TRUE(testutil::JsonChecker(t1).valid());
-    EXPECT_NE(t1.find("pe0.fired"), std::string::npos);
-    EXPECT_NE(t1.find("wm.entries"), std::string::npos);
-    EXPECT_NE(t1.find("net.inFlight"), std::string::npos);
-    EXPECT_EQ(machineSeries(2), t1);
-    EXPECT_EQ(machineSeries(4), t1);
+    const std::string first = machineSeries();
+    EXPECT_TRUE(testutil::JsonChecker(first).valid());
+    EXPECT_NE(first.find("pe0.fired"), std::string::npos);
+    EXPECT_NE(first.find("wm.entries"), std::string::npos);
+    EXPECT_NE(first.find("net.inFlight"), std::string::npos);
+    EXPECT_EQ(machineSeries(), first);
 }
 
 /** One vN trace run with sampling on; returns the JSON dump. */
 std::string
-vnSeries(std::uint32_t threads)
+vnSeries()
 {
     sim::MetricsRecorder rec(64);
     vn::VnMachineConfig cfg;
     cfg.numCores = 4;
     cfg.netLatency = 8;
     cfg.wordsPerModule = 4096;
-    cfg.threads = threads;
     cfg.metrics = &rec;
     vn::VnMachine m(cfg);
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
@@ -250,14 +247,13 @@ vnSeries(std::uint32_t threads)
     return os.str();
 }
 
-TEST(VnMetrics, BitIdenticalAcrossThreadCounts)
+TEST(VnMetrics, SeriesIsBitIdenticalAcrossRuns)
 {
-    const std::string t1 = vnSeries(1);
-    EXPECT_TRUE(testutil::JsonChecker(t1).valid());
-    EXPECT_NE(t1.find("core0.busyCycles"), std::string::npos);
-    EXPECT_NE(t1.find("net.queued"), std::string::npos);
-    EXPECT_EQ(vnSeries(2), t1);
-    EXPECT_EQ(vnSeries(4), t1);
+    const std::string first = vnSeries();
+    EXPECT_TRUE(testutil::JsonChecker(first).valid());
+    EXPECT_NE(first.find("core0.busyCycles"), std::string::npos);
+    EXPECT_NE(first.find("net.queued"), std::string::npos);
+    EXPECT_EQ(vnSeries(), first);
 }
 
 TEST(LaneMetrics, SamplesOnExecutedPseudoTime)

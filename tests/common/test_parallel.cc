@@ -12,9 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -149,73 +147,36 @@ TEST(WorkerPool, IdleWorkersPark)
     EXPECT_LT(processCpuMs() - before, 20.0);
 }
 
-// ---- spin-budget resolution --------------------------------------
-
-/** Scoped SIM_SPIN_BUDGET override, restored on destruction. */
-class ScopedSpinEnv
-{
-  public:
-    explicit ScopedSpinEnv(const char *value)
-    {
-        if (const char *old = std::getenv("SIM_SPIN_BUDGET"))
-            saved_ = old;
-        if (value)
-            setenv("SIM_SPIN_BUDGET", value, 1);
-        else
-            unsetenv("SIM_SPIN_BUDGET");
-    }
-    ~ScopedSpinEnv()
-    {
-        if (saved_.has_value())
-            setenv("SIM_SPIN_BUDGET", saved_->c_str(), 1);
-        else
-            unsetenv("SIM_SPIN_BUDGET");
-    }
-
-  private:
-    std::optional<std::string> saved_;
-};
-
-TEST(WorkerPoolSpin, ExplicitBudgetWins)
-{
-    ScopedSpinEnv env("123"); // an explicit arg beats the env
-    sim::WorkerPool pool(2, 7);
-    EXPECT_EQ(pool.spinBudget(), 7);
-    sim::WorkerPool zero(2, 0);
-    EXPECT_EQ(zero.spinBudget(), 0);
-}
-
-TEST(WorkerPoolSpin, EnvOverridesAuto)
-{
-    ScopedSpinEnv env("123");
-    sim::WorkerPool pool(2);
-    EXPECT_EQ(pool.spinBudget(), 123);
-}
+// ---- spin resolution -------------------------------------------
 
 TEST(WorkerPoolSpin, AutoYieldsWhenOversubscribed)
 {
-    ScopedSpinEnv env(nullptr);
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
         GTEST_SKIP() << "hardware_concurrency unknown";
     // More shards than cores: spinning would steal the very cycles
     // the barrier is waiting on.
     sim::WorkerPool over(hw + 1);
-    EXPECT_EQ(over.spinBudget(), 0);
+    EXPECT_EQ(over.spinIterations(), 0);
     // At or under the core count the default budget applies.
     sim::WorkerPool fit(hw);
-    EXPECT_EQ(fit.spinBudget(), sim::WorkerPool::kDefaultSpin);
+    EXPECT_EQ(fit.spinIterations(), sim::WorkerPool::kDefaultSpin);
 }
 
 TEST(WorkerPoolSpin, YieldOnlyPoolStillCompletes)
 {
-    // Force the pure-yield path and prove the barrier still works —
-    // the oversubscribed-CI configuration, pinned explicitly.
-    sim::WorkerPool pool(4, 0);
-    std::vector<int> ticks(4, 0);
+    // An oversubscribed pool parks at once instead of spinning (the
+    // 1-CPU CI configuration); its barrier must still work.
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw == 0)
+        GTEST_SKIP() << "hardware_concurrency unknown";
+    const unsigned shards = hw + 1;
+    sim::WorkerPool pool(shards);
+    ASSERT_EQ(pool.spinIterations(), 0);
+    std::vector<int> ticks(shards, 0);
     for (int t = 0; t < 200; ++t)
         pool.run([&](unsigned shard) { ++ticks[shard]; });
-    for (unsigned s = 0; s < 4; ++s)
+    for (unsigned s = 0; s < shards; ++s)
         EXPECT_EQ(ticks[s], 200) << "shard " << s;
 }
 

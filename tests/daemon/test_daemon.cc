@@ -93,7 +93,6 @@ testConfig()
 {
     srv::DaemonConfig cfg;
     cfg.machine.numPEs = 4;
-    cfg.machine.threads = 1;
     cfg.machine.latencyStats = true;
     // Jobs inject drops; ReliableNet is what lets epochs complete.
     cfg.machine.reliableNet = true;

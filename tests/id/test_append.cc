@@ -114,6 +114,31 @@ TEST(Append, MachineMatchesEmulator)
     EXPECT_FALSE(m.deadlocked());
     EXPECT_EQ(out[0].value.asInt(), ve.asInt());
     EXPECT_EQ(ve.asInt(), 1 + 2 + 3 + 1 + 42 + 3);
+
+    // Chained functional updates on arrays long enough to spread
+    // their cells over every PE: each APPEND's copy loop touches
+    // other PEs' structure stores. Cells 3 and 5 of `a` and cell 5 of
+    // `b` are never written, so their copies stay parked; both
+    // engines must agree on the answer and on the parked reads.
+    id::Compiled chained = id::compile(R"(
+        def main(n) =
+          let a = store(store(store(array(6), 0, 1), 2, 5), 4, 7) in
+          let b = append(a, 1, 10) in
+          let d = append(b, 3, 20) in
+          let e = append(d, 5, 30) in
+          e[0] + e[1] + e[2] + e[3] + e[4] + e[5] + n;
+    )");
+    ttda::Emulator emu(chained.program);
+    emu.input(chained.startCb, 0, Value{std::int64_t{4}});
+    const auto emuOut = emu.run();
+    ttda::Machine cm(chained.program, cfg);
+    cm.input(chained.startCb, 0, Value{std::int64_t{4}});
+    const auto machineOut = cm.run();
+    ASSERT_EQ(emuOut.size(), 1u);
+    ASSERT_EQ(machineOut.size(), 1u);
+    EXPECT_EQ(emuOut[0].value.asInt(), 1 + 10 + 5 + 20 + 7 + 30 + 4);
+    EXPECT_EQ(machineOut[0].value.asInt(), emuOut[0].value.asInt());
+    EXPECT_EQ(cm.outstandingReads(), emu.outstandingReads());
 }
 
 TEST(Append, CopyCostChargedOnMachine)
