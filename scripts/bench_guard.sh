@@ -26,6 +26,13 @@
 # ~1.0x). The 1-worker twins keep the hostMs floor, and the bench
 # binaries fatal on any cross-worker-count result divergence.
 #
+# The fault sweep's zero-fault reliable rows are also gated on
+# relOverhead, their hostMs over the bare twin's from the same run
+# (best of 7 alternating reps each): ttda_rel_drop0 and vn_rel_drop0
+# must stay at or below REL_MAX_OVERHEAD (2.25x), so the recovery
+# protocol's host bookkeeping cannot grow back to dominate a
+# fault-free run.
+#
 # Configs present in only one of the two files (new benchmarks, or a
 # renamed baseline entry) are reported but do not fail the guard.
 # "_metrics"-suffixed rows (metrics-sampling A/A overhead twins) are
@@ -95,6 +102,21 @@ if len(sys.argv) > 5:
     current.update({r["name"]: r for r in fc if r["dropRate"] == 0})
 
 failed = []
+
+# Zero-fault protocol overhead: a same-process ratio, so it holds on
+# any host without a re-baseline.
+REL_MAX_OVERHEAD = 2.25
+for name in ("ttda_rel_drop0", "vn_rel_drop0"):
+    cur = current.get(name)
+    if cur is None:
+        print(f"bench_guard: note: fault config '{name}' not in current run")
+        continue
+    overhead = cur.get("relOverhead", float("inf"))
+    verdict = "FAIL" if overhead > REL_MAX_OVERHEAD else "ok"
+    print(f"bench_guard: {verdict:4} {name:24} rel/bare "
+          f"{overhead:7.2f}x (needs <= {REL_MAX_OVERHEAD:.2f}x)")
+    if verdict == "FAIL":
+        failed.append(name + " relOverhead")
 
 # Emulation-tier guard: speedup (interp time / tier time, same
 # process) must not fall below baseline by more than the threshold.

@@ -110,6 +110,7 @@ class IStructure
         }
         cell.presence = Presence::Deferred;
         cell.deferred.push_back(std::move(c));
+        ++parked_;
         stats_.fetchesDeferred.inc();
         return false;
     }
@@ -136,6 +137,7 @@ class IStructure
             static_cast<double>(cell.deferred.size()));
         cell.value = value;
         cell.presence = Presence::Present;
+        parked_ -= cell.deferred.size();
         for (auto &c : cell.deferred) {
             out.emplace_back(std::move(c), value);
             stats_.deferredServed.inc();
@@ -175,6 +177,7 @@ class IStructure
             Cell &cell = at(a);
             cell.presence = Presence::Empty;
             cell.value = ValueT{};
+            parked_ -= cell.deferred.size();
             cell.deferred.clear();
             ++a;
         }
@@ -200,6 +203,7 @@ class IStructure
             }
         }
         allocPtr_ = 0;
+        parked_ = 0;
         stats_.fetches.reset();
         stats_.fetchesDeferred.reset();
         stats_.stores.reset();
@@ -208,19 +212,9 @@ class IStructure
         stats_.deferredListLen.reset();
     }
 
-    /** Number of reads currently parked on deferred lists. */
-    std::size_t
-    outstandingReads() const
-    {
-        std::size_t n = 0;
-        for (const auto &chunk : chunks_) {
-            if (!chunk)
-                continue;
-            for (std::size_t i = 0; i < kChunkWords; ++i)
-                n += chunk[i].deferred.size();
-        }
-        return n;
-    }
+    /** Number of reads currently parked on deferred lists, kept
+     *  incrementally so the quiescence check costs O(1). */
+    std::size_t outstandingReads() const { return parked_; }
 
     /** The continuations parked on one cell's deferred-read list
      *  (deadlock forensics: *who* is waiting, not just how many). */
@@ -327,6 +321,7 @@ class IStructure
                 snapLoad(r, c);
                 cell.deferred.push_back(std::move(c));
             }
+            parked_ += nd;
         }
     }
 
@@ -395,6 +390,7 @@ class IStructure
     std::size_t words_;
     std::vector<std::unique_ptr<Cell[]>> chunks_;
     std::uint64_t allocPtr_ = 0;
+    std::size_t parked_ = 0; //!< sum of every cell's deferred.size()
     IStructureStats stats_;
 };
 

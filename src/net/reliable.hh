@@ -22,23 +22,47 @@
  * the paper's transaction-style memory requests (Section 2.3) assume.
  *
  * Determinism: the protocol consumes no randomness. Retransmit order
- * is fixed by the timer heap's (deadline, insertion-order) key, and
- * the machines call the wrapper in a fixed order, so runs replay
+ * is fixed by each timer's (deadline, insertion-order) key, and the
+ * machines call the wrapper in a fixed order, so runs replay
  * bit-identically.
+ *
+ * Host-side state. A packet that is not lost costs O(1) bookkeeping
+ * and no allocation:
+ *
+ *  - Streams. A dense table holds one small record per (src,dst)
+ *    stream, numPorts()^2 of them: the tx sequence counter, the rx
+ *    low watermark, and the unacknowledged sends as a seq-indexed ring
+ *    window [base, txSeq]. An ACK marks its slot dead and base moves
+ *    past the dead slots at the front. The rx out-of-order set is
+ *    allocated on a stream's first out-of-order arrival and touched
+ *    only off the in-order fast path (seq == watermark with nothing
+ *    parked above it).
+ *  - Timers. A first transmission's deadline is now + timeout and now
+ *    never decreases, so first-send timers are created in (deadline,
+ *    insertion-order) order and wait in a FIFO. Only backed-off
+ *    retransmits, whose deadlines jump ahead, go in a small EventHeap.
+ *    Both take their insertion order from one counter, and step()
+ *    always fires the smaller (deadline, order) head of the two: the
+ *    merge of two ordered sequences, which is exactly the pop order of
+ *    one heap holding every timer. Timers of sends already acked stay
+ *    queued until due and are skipped then, so nextDelivery() wakes
+ *    the machine on the same cycles as that single heap did.
  */
 
 #ifndef TTDA_NET_RELIABLE_HH
 #define TTDA_NET_RELIABLE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/eventheap.hh"
 #include "common/logging.hh"
+#include "common/ringqueue.hh"
 #include "net/network.hh"
 
 namespace net
@@ -126,28 +150,34 @@ class ReliableNet : public Network<Payload>
         SIM_ASSERT(inner_ != nullptr);
         SIM_ASSERT(cfg_.timeout >= 1);
         SIM_ASSERT(cfg_.maxAttempts >= 1);
+        ports_ = inner_->numPorts();
+        streams_.resize(std::size_t{ports_} * ports_);
     }
 
-    sim::NodeId numPorts() const override { return inner_->numPorts(); }
+    sim::NodeId numPorts() const override { return ports_; }
 
     void
     send(sim::NodeId src, sim::NodeId dst, Payload payload) override
     {
-        const std::uint64_t seq = ++txSeq_[streamKey(src, dst)];
+        SIM_ASSERT(src < ports_ && dst < ports_);
+        const std::uint32_t sid = streamId(src, dst);
+        Stream &s = streams_[sid];
+        const std::uint64_t seq = ++s.txSeq;
         Packet<Payload> logical;
         logical.src = src;
         logical.dst = dst;
         logical.issued = now_;
         this->noteSend(logical);
 
-        PendingTx p;
+        s.fit();
+        PendingTx &p = s.slot(seq);
         p.payload = payload; // retransmission copy
         p.issued = now_;
         p.attempts = 1;
         p.deadline = now_ + cfg_.timeout;
-        const Key key{src, dst, seq};
-        pending_.emplace(key, std::move(p));
-        timers_.push(now_ + cfg_.timeout, key);
+        p.live = true;
+        ++pending_;
+        firstSends_.push_back(Timer{p.deadline, nextOrder_++, seq, sid});
 
         Env env;
         env.kind = Env::Kind::Data;
@@ -164,35 +194,35 @@ class ReliableNet : public Network<Payload>
     {
         now_ = now + 1;
         inner_->step(now);
-        // Fire expired retransmission timers. Each reschedule pushes a
-        // fresh heap entry; entries whose deadline no longer matches
-        // the pending record (acked or already rescheduled) are stale
-        // and purged here.
-        while (!timers_.empty() && timers_.minKey() <= now_) {
-            const sim::Cycle due = timers_.minKey();
-            const Key key = timers_.pop();
-            auto it = pending_.find(key);
-            if (it == pending_.end() || it->second.deadline != due)
+        // Fire expired retransmission timers in (deadline, order)
+        // order. A timer whose send was acked, abandoned or already
+        // rescheduled is stale and skipped.
+        Timer t;
+        while (popDue(t)) {
+            Stream &s = streams_[t.stream];
+            PendingTx *p = s.find(t.seq);
+            if (p == nullptr || p->deadline != t.deadline)
                 continue;
-            PendingTx &p = it->second;
-            if (p.attempts >= cfg_.maxAttempts) {
+            if (p->attempts >= cfg_.maxAttempts) {
                 relStats_.abandoned.inc();
-                pending_.erase(it);
+                retire(s, *p);
                 continue;
             }
-            p.attempts += 1;
+            p->attempts += 1;
             relStats_.retransmits.inc();
-            p.deadline = now_ + backoffDelay(cfg_, p.attempts);
-            timers_.push(p.deadline, key);
+            p->deadline = now_ + backoffDelay(cfg_, p->attempts);
+            retries_.push(p->deadline,
+                          Timer{p->deadline, nextOrder_++, t.seq,
+                                t.stream});
 
             Env env;
             env.kind = Env::Kind::Data;
-            env.origin = key.src;
-            env.target = key.dst;
-            env.seq = key.seq;
-            env.issued = p.issued;
-            env.payload = p.payload; // copy; may need to resend again
-            inner_->send(key.src, key.dst, std::move(env));
+            env.origin = t.stream / ports_;
+            env.target = t.stream % ports_;
+            env.seq = t.seq;
+            env.issued = p->issued;
+            env.payload = p->payload; // copy; may need to resend again
+            inner_->send(env.origin, env.target, std::move(env));
         }
     }
 
@@ -206,12 +236,15 @@ class ReliableNet : public Network<Payload>
             std::optional<Env> env = inner_->receive(dst);
             if (!env)
                 return std::nullopt;
+            // Restored in-flight envelopes are untrusted bytes; the
+            // origin indexes the stream table.
+            SIM_ASSERT(env->origin < ports_);
             if (env->kind == Env::Kind::Ack) {
                 // The ACK's origin is the data receiver, so the acked
                 // stream is (dst -> origin).
-                auto it = pending_.find(Key{dst, env->origin, env->seq});
-                if (it != pending_.end())
-                    pending_.erase(it);
+                Stream &s = streams_[streamId(dst, env->origin)];
+                if (PendingTx *p = s.find(env->seq))
+                    retire(s, *p);
                 else
                     relStats_.staleAcks.inc();
                 continue;
@@ -227,8 +260,7 @@ class ReliableNet : public Network<Payload>
             inner_->send(dst, env->origin, std::move(ack));
             relStats_.acksSent.inc();
 
-            RxStream &rx = rxStreams_[streamKey(env->origin, dst)];
-            if (!rx.accept(env->seq)) {
+            if (!accept(streams_[streamId(env->origin, dst)], env->seq)) {
                 relStats_.rxDuplicates.inc();
                 continue;
             }
@@ -244,17 +276,21 @@ class ReliableNet : public Network<Payload>
     bool
     idle() const override
     {
-        return inner_->idle() && pending_.empty();
+        return inner_->idle() && pending_ == 0;
     }
 
     sim::Cycle
     nextDelivery() const override
     {
         sim::Cycle next = inner_->nextDelivery();
-        // Stale timer entries can only wake the machine early (step()
-        // purges them), never late, so minKey() is a safe bound.
-        if (!pending_.empty() && !timers_.empty())
-            next = std::min(next, timers_.minKey() - 1);
+        // Stale timers can only wake the machine early (step() skips
+        // them), never late, so the earliest deadline is a safe bound.
+        if (pending_ != 0) {
+            if (!firstSends_.empty())
+                next = std::min(next, firstSends_.front().deadline - 1);
+            if (!retries_.empty())
+                next = std::min(next, retries_.minKey() - 1);
+        }
         return next;
     }
 
@@ -288,10 +324,7 @@ class ReliableNet : public Network<Payload>
         Network<Payload>::reset();
         inner_->reset();
         now_ = 0;
-        txSeq_.clear();
-        rxStreams_.clear();
-        pending_.clear();
-        timers_.clear();
+        clearProtocol();
         relStats_.retransmits.reset();
         relStats_.abandoned.reset();
         relStats_.rxDuplicates.reset();
@@ -303,7 +336,19 @@ class ReliableNet : public Network<Payload>
     /** Envelope-level traffic statistics of the wrapped fabric. */
     const NetStats &innerStats() const { return inner_->stats(); }
     /** Sends still awaiting acknowledgement (forensics hook). */
-    std::size_t pendingCount() const { return pending_.size(); }
+    std::size_t pendingCount() const { return pending_; }
+
+    /** Acked sends still held in a tx window behind an older unacked
+     *  send of the same stream, over all streams: the gaps that an
+     *  out-of-order ACK leaves until the front is acked or abandoned. */
+    std::size_t
+    windowGaps() const
+    {
+        std::size_t span = 0;
+        for (const Stream &s : streams_)
+            span += s.txSeq + 1 - s.base;
+        return span - pending_;
+    }
 
     /** The wrapped fabric, for checkpointing: the owner knows the
      *  concrete topology and dispatches its saveState statically. */
@@ -313,46 +358,72 @@ class ReliableNet : public Network<Payload>
     /** Checkpoint the protocol state — per-stream tx sequence
      *  numbers, rx dedup windows, unacknowledged sends, retransmit
      *  timers, counters — plus this decorator's own base slice. The
-     *  inner fabric is saved separately by the owner. */
+     *  inner fabric is saved separately by the owner. Streams are
+     *  written in (src,dst) order, sends in seq order, and timers in
+     *  (deadline, order) order; a sorted array is a valid binary heap,
+     *  so the layout is the one the single-heap format used. */
     template <typename W>
     void
     saveState(W &w) const
     {
         this->saveBase(w);
         w.u64(now_);
-        w.u64(txSeq_.size());
-        for (const auto &[stream, seq] : txSeq_) {
-            w.u64(stream);
-            w.u64(seq);
+        std::uint64_t nt = 0, nr = 0;
+        for (const Stream &s : streams_) {
+            nt += s.txSeq != 0;
+            nr += s.watermark != 1 || s.parked();
         }
-        w.u64(rxStreams_.size());
-        for (const auto &[stream, rx] : rxStreams_) {
-            w.u64(stream);
-            w.u64(rx.watermark);
-            w.u64(rx.seen.size());
-            for (const std::uint64_t s : rx.seen)
-                w.u64(s);
+        w.u64(nt);
+        for (std::uint32_t sid = 0; sid < streams_.size(); ++sid) {
+            if (streams_[sid].txSeq == 0)
+                continue;
+            w.u64(streamKey(sid));
+            w.u64(streams_[sid].txSeq);
         }
-        w.u64(pending_.size());
-        for (const auto &[key, p] : pending_) {
-            w.u32(key.src);
-            w.u32(key.dst);
-            w.u64(key.seq);
-            snapSave(w, p.payload);
-            w.u64(p.issued);
-            w.u64(p.deadline);
-            w.u32(p.attempts);
+        w.u64(nr);
+        for (std::uint32_t sid = 0; sid < streams_.size(); ++sid) {
+            const Stream &s = streams_[sid];
+            if (s.watermark == 1 && !s.parked())
+                continue;
+            w.u64(streamKey(sid));
+            w.u64(s.watermark);
+            w.u64(s.parked() ? s.seen->size() : 0);
+            if (s.seen)
+                for (const std::uint64_t q : *s.seen)
+                    w.u64(q);
         }
-        w.u64(timers_.size());
-        timers_.forEachNode([&](sim::Cycle key, std::uint64_t seq,
-                                const Key &k) {
-            w.u64(key);
-            w.u64(seq);
-            w.u32(k.src);
-            w.u32(k.dst);
-            w.u64(k.seq);
-        });
-        w.u64(timers_.nextSeq());
+        w.u64(pending_);
+        for (std::uint32_t sid = 0; sid < streams_.size(); ++sid) {
+            const Stream &s = streams_[sid];
+            for (std::uint64_t q = s.base; q <= s.txSeq; ++q) {
+                const PendingTx &p = s.slot(q);
+                if (!p.live)
+                    continue;
+                w.u32(sid / ports_);
+                w.u32(sid % ports_);
+                w.u64(q);
+                snapSave(w, p.payload);
+                w.u64(p.issued);
+                w.u64(p.deadline);
+                w.u32(p.attempts);
+            }
+        }
+        std::vector<Timer> timers;
+        timers.reserve(firstSends_.size() + retries_.size());
+        for (std::size_t i = 0; i < firstSends_.size(); ++i)
+            timers.push_back(firstSends_.at(i));
+        retries_.forEachNode([&](sim::Cycle, std::uint64_t,
+                                 const Timer &t) { timers.push_back(t); });
+        std::sort(timers.begin(), timers.end());
+        w.u64(timers.size());
+        for (const Timer &t : timers) {
+            w.u64(t.deadline);
+            w.u64(t.order);
+            w.u32(t.stream / ports_);
+            w.u32(t.stream % ports_);
+            w.u64(t.seq);
+        }
+        w.u64(nextOrder_);
         snapSave(w, relStats_.retransmits);
         snapSave(w, relStats_.abandoned);
         snapSave(w, relStats_.rxDuplicates);
@@ -360,54 +431,83 @@ class ReliableNet : public Network<Payload>
         snapSave(w, relStats_.staleAcks);
     }
 
+    /** Restore a saveState() stream. The timers arrive as a valid
+     *  binary heap: sorted from this format, or in the array order of
+     *  the single-heap format. They all go to the retry heap, which
+     *  pops them in (deadline, order) order, while new first sends
+     *  queue behind them in the FIFO. */
     template <typename R>
     void
     loadState(R &r)
     {
         this->loadBase(r);
         now_ = r.u64();
-        txSeq_.clear();
+        clearProtocol();
         const std::uint64_t nt = r.u64();
         for (std::uint64_t i = 0; i < nt; ++i) {
-            const std::uint64_t stream = r.u64();
-            txSeq_[stream] = r.u64();
+            Stream &s = streams_[loadStream(r, r.u64())];
+            s.txSeq = r.u64();
+            s.base = s.txSeq + 1; // empty window until sends load
         }
-        rxStreams_.clear();
         const std::uint64_t nr = r.u64();
         for (std::uint64_t i = 0; i < nr; ++i) {
-            const std::uint64_t stream = r.u64();
-            RxStream &rx = rxStreams_[stream];
-            rx.watermark = r.u64();
+            Stream &s = streams_[loadStream(r, r.u64())];
+            s.watermark = r.u64();
             const std::uint64_t ns = r.u64();
-            for (std::uint64_t k = 0; k < ns; ++k)
-                rx.seen.insert(r.u64());
+            for (std::uint64_t k = 0; k < ns; ++k) {
+                if (!s.seen)
+                    s.seen = std::make_unique<std::set<std::uint64_t>>();
+                s.seen->insert(r.u64());
+            }
         }
-        pending_.clear();
         const std::uint64_t np = r.u64();
+        std::uint32_t lastSid = 0;
+        std::uint64_t lastSeq = 0;
         for (std::uint64_t i = 0; i < np; ++i) {
-            Key key{};
-            key.src = r.u32();
-            key.dst = r.u32();
-            key.seq = r.u64();
-            PendingTx p;
+            const std::uint32_t src = r.u32();
+            const std::uint32_t dst = r.u32();
+            const std::uint32_t sid = loadStream(r, src, dst);
+            const std::uint64_t seq = r.u64();
+            Stream &s = streams_[sid];
+            if (seq == 0 || seq > s.txSeq)
+                r.fail("reliable-net pending seq outside its stream");
+            if (s.base > s.txSeq) {
+                // First unacked send of this stream: the window opens
+                // here, every later seq up to txSeq dead until loaded.
+                if (s.txSeq - seq >= kMaxRestoredWindow)
+                    r.fail("reliable-net tx window too wide");
+                s.base = seq;
+                s.fit();
+                for (std::uint64_t q = seq; q <= s.txSeq; ++q)
+                    s.slot(q).live = false;
+            } else if (sid != lastSid || seq <= lastSeq) {
+                r.fail("reliable-net pending sends out of order");
+            }
+            lastSid = sid;
+            lastSeq = seq;
+            PendingTx &p = s.slot(seq);
             snapLoad(r, p.payload);
             p.issued = r.u64();
             p.deadline = r.u64();
             p.attempts = r.u32();
-            pending_.emplace(key, std::move(p));
+            p.live = true;
+            ++pending_;
         }
-        timers_.clear();
         const std::uint64_t nk = r.u64();
         for (std::uint64_t i = 0; i < nk; ++i) {
-            const sim::Cycle at = r.u64();
-            const std::uint64_t seq = r.u64();
-            Key key{};
-            key.src = r.u32();
-            key.dst = r.u32();
-            key.seq = r.u64();
-            timers_.restoreNode(at, seq, key);
+            Timer t;
+            t.deadline = r.u64();
+            t.order = r.u64();
+            const std::uint32_t src = r.u32();
+            const std::uint32_t dst = r.u32();
+            t.stream = loadStream(r, src, dst);
+            t.seq = r.u64();
+            retries_.restoreNode(t.deadline, t.order, t);
         }
-        timers_.setNextSeq(r.u64());
+        nextOrder_ = r.u64();
+        // The heap breaks deadline ties by its own counter; restart it
+        // above every loaded order so it keeps agreeing with `order`.
+        retries_.setNextSeq(nextOrder_);
         snapLoad(r, relStats_.retransmits);
         snapLoad(r, relStats_.abandoned);
         snapLoad(r, relStats_.rxDuplicates);
@@ -416,22 +516,12 @@ class ReliableNet : public Network<Payload>
     }
 
   private:
-    struct Key
-    {
-        sim::NodeId src;
-        sim::NodeId dst;
-        std::uint64_t seq;
-
-        bool
-        operator<(const Key &o) const
-        {
-            if (src != o.src)
-                return src < o.src;
-            if (dst != o.dst)
-                return dst < o.dst;
-            return seq < o.seq;
-        }
-    };
+    /** Widest tx window a restore accepts. The ring is sized to the
+     *  window, so an untrusted txSeq far above a stream's first
+     *  pending seq must not size an allocation; a run that far behind
+     *  would already hold gigabytes of unacked payloads. */
+    static constexpr std::uint64_t kMaxRestoredWindow = std::uint64_t{1}
+                                                        << 24;
 
     struct PendingTx
     {
@@ -439,43 +529,192 @@ class ReliableNet : public Network<Payload>
         sim::Cycle issued = 0;
         sim::Cycle deadline = 0;
         std::uint32_t attempts = 0;
+        bool live = false; //!< sent and neither acked nor abandoned
     };
 
-    /** Delivered-at-most-once window: every seq below the watermark is
-     *  done; out-of-order fresh arrivals wait in `seen` until the gap
-     *  below them closes. */
-    struct RxStream
+    /** One (src,dst) stream: the sender's window and the receiver's
+     *  dedup state. Seqs start at 1. */
+    struct Stream
     {
-        std::uint64_t watermark = 1; //!< seqs start at 1
-        std::set<std::uint64_t> seen;
+        std::uint64_t txSeq = 0;     //!< last seq sent
+        std::uint64_t base = 1;      //!< oldest seq in the tx window
+        std::uint64_t watermark = 1; //!< rx: every seq below delivered
+        /** rx: seqs above the watermark already delivered; allocated
+         *  on the first out-of-order arrival and kept for reuse. */
+        std::unique_ptr<std::set<std::uint64_t>> seen;
+        std::vector<PendingTx> ring; //!< tx window [base, txSeq]
+
+        bool parked() const { return seen && !seen->empty(); }
+
+        PendingTx &
+        slot(std::uint64_t seq)
+        {
+            return ring[seq & (ring.size() - 1)];
+        }
+
+        const PendingTx &
+        slot(std::uint64_t seq) const
+        {
+            return ring[seq & (ring.size() - 1)];
+        }
+
+        /** The unacked send `seq`, or null if it was acked, abandoned
+         *  or never sent. */
+        PendingTx *
+        find(std::uint64_t seq)
+        {
+            if (seq < base || seq > txSeq)
+                return nullptr;
+            PendingTx &p = slot(seq);
+            return p.live ? &p : nullptr;
+        }
+
+        /** Grow the ring (a power of two) to hold [base, txSeq]. */
+        void
+        fit()
+        {
+            const std::uint64_t span = txSeq - base + 1;
+            if (span <= ring.size())
+                return;
+            std::size_t cap = ring.empty() ? 4 : 2 * ring.size();
+            while (cap < span)
+                cap *= 2;
+            std::vector<PendingTx> next(cap);
+            if (!ring.empty())
+                for (std::uint64_t q = base; q < txSeq; ++q)
+                    next[q & (cap - 1)] = std::move(slot(q));
+            ring = std::move(next);
+        }
+    };
+    static_assert(sizeof(Stream) <= 64,
+                  "numPorts()^2 stream records must stay small");
+
+    /** A retransmission deadline for send `seq` of stream `stream`;
+     *  `order` is its insertion order across both timer queues. */
+    struct Timer
+    {
+        sim::Cycle deadline = 0;
+        std::uint64_t order = 0;
+        std::uint64_t seq = 0;
+        std::uint32_t stream = 0;
 
         bool
-        accept(std::uint64_t seq)
+        operator<(const Timer &o) const
         {
-            if (seq < watermark || seen.count(seq))
-                return false;
-            seen.insert(seq);
-            while (!seen.empty() && *seen.begin() == watermark) {
-                seen.erase(seen.begin());
-                ++watermark;
-            }
-            return true;
+            return deadline != o.deadline ? deadline < o.deadline
+                                          : order < o.order;
         }
     };
 
-    static std::uint64_t
-    streamKey(sim::NodeId src, sim::NodeId dst)
+    std::uint32_t
+    streamId(sim::NodeId src, sim::NodeId dst) const
     {
-        return (static_cast<std::uint64_t>(src) << 32) | dst;
+        return src * ports_ + dst;
+    }
+
+    /** The pre-table snapshot key of a stream: src << 32 | dst. */
+    std::uint64_t
+    streamKey(std::uint32_t sid) const
+    {
+        return (static_cast<std::uint64_t>(sid / ports_) << 32) |
+               (sid % ports_);
+    }
+
+    template <typename R>
+    std::uint32_t
+    loadStream(R &r, std::uint64_t src, std::uint64_t dst) const
+    {
+        if (src >= ports_ || dst >= ports_)
+            r.fail("reliable-net stream endpoint out of range");
+        return streamId(static_cast<sim::NodeId>(src),
+                        static_cast<sim::NodeId>(dst));
+    }
+
+    template <typename R>
+    std::uint32_t
+    loadStream(R &r, std::uint64_t key) const
+    {
+        return loadStream(r, key >> 32, key & 0xffffffffu);
+    }
+
+    /** Pop the earliest timer into `t` if it is due by now_. */
+    bool
+    popDue(Timer &t)
+    {
+        const bool fifo = !firstSends_.empty();
+        if (fifo && (retries_.empty() ||
+                     firstSends_.front() < retries_.top())) {
+            if (firstSends_.front().deadline > now_)
+                return false;
+            t = firstSends_.front();
+            firstSends_.pop_front();
+            return true;
+        }
+        if (retries_.empty() || retries_.minKey() > now_)
+            return false;
+        t = retries_.pop();
+        return true;
+    }
+
+    /** Drop a send from its window: acked or abandoned. */
+    void
+    retire(Stream &s, PendingTx &p)
+    {
+        p.live = false;
+        --pending_;
+        while (s.base <= s.txSeq && !s.slot(s.base).live)
+            ++s.base;
+    }
+
+    /** Receiver dedup: true the first time `seq` arrives. */
+    bool
+    accept(Stream &rx, std::uint64_t seq)
+    {
+        if (seq == rx.watermark && !rx.parked()) {
+            ++rx.watermark; // in order, nothing parked above
+            return true;
+        }
+        if (seq < rx.watermark)
+            return false;
+        if (!rx.seen)
+            rx.seen = std::make_unique<std::set<std::uint64_t>>();
+        std::set<std::uint64_t> &seen = *rx.seen;
+        if (!seen.insert(seq).second)
+            return false;
+        while (!seen.empty() && *seen.begin() == rx.watermark) {
+            seen.erase(seen.begin());
+            ++rx.watermark;
+        }
+        return true;
+    }
+
+    /** Every stream back to its just-constructed state; ring and
+     *  seen-set allocations are kept for the next run. */
+    void
+    clearProtocol()
+    {
+        for (Stream &s : streams_) {
+            s.txSeq = 0;
+            s.base = 1;
+            s.watermark = 1;
+            if (s.seen)
+                s.seen->clear();
+        }
+        pending_ = 0;
+        firstSends_.clear();
+        retries_.clear();
+        nextOrder_ = 0;
     }
 
     std::unique_ptr<Network<Env>> inner_;
     RetryConfig cfg_;
+    sim::NodeId ports_ = 0;
     sim::Cycle now_ = 0;
-    std::map<std::uint64_t, std::uint64_t> txSeq_;
-    std::map<std::uint64_t, RxStream> rxStreams_;
-    std::map<Key, PendingTx> pending_;
-    sim::EventHeap<Key> timers_;
+    std::vector<Stream> streams_;             //!< index src * ports_ + dst
+    std::size_t pending_ = 0;                 //!< live sends, all streams
+    sim::RingQueue<Timer> firstSends_;        //!< (deadline, order) sorted
+    sim::EventHeap<Timer> retries_;           //!< backed-off retransmits
+    std::uint64_t nextOrder_ = 0;             //!< shared insertion order
     RelStats relStats_;
 };
 

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "common/snapshot.hh"
 #include "mem/istructure.hh"
 
 namespace
@@ -100,6 +103,103 @@ TEST(IStructure, ClearResetsCells)
     EXPECT_EQ(is.presence(1), mem::Presence::Empty);
     EXPECT_EQ(is.presence(2), mem::Presence::Empty);
     EXPECT_EQ(is.outstandingReads(), 0u);
+}
+
+/** A continuation and a value with snapshot codecs, so the storage
+ *  can round-trip through a sim::snapshot envelope. */
+struct SnapCont
+{
+    std::uint32_t id = 0;
+};
+
+struct SnapVal
+{
+    std::uint64_t v = 0;
+    bool operator==(const SnapVal &o) const { return v == o.v; }
+};
+
+template <typename W>
+void
+snapSave(W &w, const SnapCont &c)
+{
+    w.u32(c.id);
+}
+
+template <typename R>
+void
+snapLoad(R &r, SnapCont &c)
+{
+    c.id = r.u32();
+}
+
+template <typename W>
+void
+snapSave(W &w, const SnapVal &x)
+{
+    w.u64(x.v);
+}
+
+template <typename R>
+void
+snapLoad(R &r, SnapVal &x)
+{
+    x.v = r.u64();
+}
+
+TEST(IStructure, OutstandingReadsCounterMatchesFullWalk)
+{
+    // Addresses span several storage chunks so the walk crosses
+    // materialized and unmaterialized ones.
+    constexpr std::size_t kWords = 3 * 4096 + 17;
+    using Storage = mem::IStructure<SnapCont, SnapVal>;
+    std::vector<std::pair<SnapCont, SnapVal>> out;
+    auto walk = [](const Storage &is) {
+        std::size_t n = 0;
+        for (std::uint64_t a = 0; a < is.size(); ++a)
+            n += is.deferredList(a).size();
+        return n;
+    };
+    auto expectConsistent = [&](const Storage &is, std::size_t want) {
+        EXPECT_EQ(is.outstandingReads(), want);
+        EXPECT_EQ(walk(is), want);
+    };
+
+    Storage is(kWords);
+    std::uint32_t next = 0;
+    const std::uint64_t parkAt[] = {0,    5,    5,    5,
+                                    4096, 8200, 8200, kWords - 1};
+    for (const std::uint64_t a : parkAt)
+        EXPECT_FALSE(is.fetch(a, SnapCont{next++}, out));
+    expectConsistent(is, 8);
+
+    EXPECT_TRUE(is.store(5, SnapVal{1}, out)); // serves three readers
+    expectConsistent(is, 5);
+    EXPECT_TRUE(is.fetch(5, SnapCont{next++}, out)); // present: no park
+    EXPECT_FALSE(is.store(5, SnapVal{2}, out));      // rejected rewrite
+    expectConsistent(is, 5);
+
+    is.clear(8190, 20); // drops the two readers parked on 8200
+    expectConsistent(is, 3);
+
+    std::ostringstream bytes;
+    {
+        sim::snapshot::Writer w;
+        is.save(w);
+        w.finish(bytes);
+    }
+    Storage restored(kWords);
+    EXPECT_FALSE(restored.fetch(7, SnapCont{99}, out)); // load replaces
+    std::istringstream in(bytes.str());
+    sim::snapshot::Reader r(in);
+    restored.load(r);
+    expectConsistent(restored, 3);
+    EXPECT_TRUE(restored.store(kWords - 1, SnapVal{3}, out));
+    expectConsistent(restored, 2);
+
+    is.reset();
+    expectConsistent(is, 0);
+    EXPECT_FALSE(is.fetch(4096, SnapCont{next++}, out));
+    expectConsistent(is, 1);
 }
 
 TEST(IStructure, OutOfRangePanics)

@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/fault.hh"
+#include "common/snapshot.hh"
 #include "net/ideal.hh"
 #include "net/reliable.hh"
 
@@ -168,6 +173,274 @@ TEST(ReliableNet, AbandonsAfterMaxAttempts)
     EXPECT_EQ(inj.stats().linkDownDrops,
               5u * cfg.maxAttempts);
     EXPECT_EQ(rel->pendingCount(), 0u);
+}
+
+// ---- protocol edge cases under a scripted drop plan ------------------
+//
+// Timing over the 2-cycle IdealNetwork: a send made once step(c) has
+// run leaves at c + 1 and meets the injector at c + 3; a LinkDown
+// window over that cycle destroys it. Each case checks the protocol
+// state at the interesting moment and at the end.
+
+/** Link-down windows on single cycles: {cycle, src, dst} each. */
+sim::fault::FaultPlan
+dropsAt(std::initializer_list<std::array<std::uint32_t, 3>> drops)
+{
+    sim::fault::FaultPlan plan;
+    for (const auto &[at, src, dst] : drops)
+        plan.events.push_back(
+            {sim::fault::Event::Kind::LinkDown, at, at, src, dst});
+    return plan;
+}
+
+/** Steps a ReliableNet one cycle at a time, draining every port, and
+ *  checks the wake-up contract on every cycle: while a send is
+ *  pending the net must name a next event, or a skip-ahead machine
+ *  would sleep through its retransmit. */
+struct Stepper
+{
+    ReliableNet<int> &rel;
+    std::vector<std::vector<int>> got =
+        std::vector<std::vector<int>>(rel.numPorts());
+    sim::Cycle now = 0;
+
+    void
+    tick()
+    {
+        rel.step(now);
+        for (std::uint32_t p = 0; p < rel.numPorts(); ++p)
+            while (auto v = rel.receive(p))
+                got[p].push_back(*v);
+        if (rel.pendingCount() != 0) {
+            EXPECT_NE(rel.nextDelivery(), sim::neverCycle)
+                << "pending sends but no wake-up at cycle " << now;
+        }
+        ++now;
+    }
+
+    void
+    runTo(sim::Cycle c)
+    {
+        while (now < c)
+            tick();
+    }
+
+    void
+    runIdle()
+    {
+        for (sim::Cycle n = 0; n < 10000 && !rel.idle(); ++n)
+            tick();
+        ASSERT_TRUE(rel.idle());
+    }
+};
+
+void
+expectStats(const ReliableNet<int> &rel, std::uint64_t retransmits,
+            std::uint64_t acksSent, std::uint64_t staleAcks,
+            std::uint64_t rxDuplicates, std::uint64_t abandoned)
+{
+    EXPECT_EQ(rel.relStats().retransmits.value(), retransmits);
+    EXPECT_EQ(rel.relStats().acksSent.value(), acksSent);
+    EXPECT_EQ(rel.relStats().staleAcks.value(), staleAcks);
+    EXPECT_EQ(rel.relStats().rxDuplicates.value(), rxDuplicates);
+    EXPECT_EQ(rel.relStats().abandoned.value(), abandoned);
+}
+
+TEST(ReliableNet, MiddleAckBeforeFrontHoldsTheGapUntilRetransmit)
+{
+    sim::fault::FaultInjector inj(dropsAt({{2, 0, 1}}));
+    RetryConfig cfg;
+    cfg.timeout = 16;
+    auto rel = makeReliable(2, cfg);
+    rel->setFaultInjector(&inj);
+    Stepper d{*rel};
+
+    rel->send(0, 1, 10); // seq 1: destroyed at cycle 2
+    d.tick();
+    rel->send(0, 1, 11); // seq 2
+    d.tick();
+    rel->send(0, 1, 12); // seq 3
+    d.runTo(6);          // both later ACKs are back
+
+    EXPECT_EQ(d.got[1], (std::vector<int>{11, 12}));
+    EXPECT_EQ(rel->pendingCount(), 1u);
+    EXPECT_EQ(rel->windowGaps(), 2u);
+    EXPECT_FALSE(rel->idle());
+    EXPECT_EQ(rel->nextDelivery(), cfg.timeout - 1); // seq 1's timer
+    expectStats(*rel, 0, 2, 0, 0, 0);
+
+    d.runIdle();
+    EXPECT_EQ(d.got[1], (std::vector<int>{11, 12, 10}));
+    EXPECT_EQ(rel->pendingCount(), 0u);
+    EXPECT_EQ(rel->windowGaps(), 0u);
+    expectStats(*rel, 1, 3, 0, 0, 0);
+
+    // The window reopens cleanly behind the healed gap.
+    rel->send(0, 1, 13);
+    d.runIdle();
+    EXPECT_EQ(d.got[1], (std::vector<int>{11, 12, 10, 13}));
+    expectStats(*rel, 1, 4, 0, 0, 0);
+    EXPECT_EQ(inj.stats().linkDownDrops, 1u);
+}
+
+TEST(ReliableNet, AbandonedFrontReleasesItsAckedTail)
+{
+    // Both transmissions of seq 1 die; seq 2 gets through and is
+    // acked while seq 1 still waits for its last timer.
+    sim::fault::FaultInjector inj(dropsAt({{2, 0, 1}, {10, 0, 1}}));
+    RetryConfig cfg;
+    cfg.timeout = 8;
+    cfg.maxAttempts = 2;
+    cfg.backoffCap = 0;
+    auto rel = makeReliable(2, cfg);
+    rel->setFaultInjector(&inj);
+    Stepper d{*rel};
+
+    rel->send(0, 1, 20); // seq 1
+    d.tick();
+    rel->send(0, 1, 21); // seq 2
+    d.runTo(6);
+    EXPECT_EQ(d.got[1], (std::vector<int>{21}));
+    EXPECT_EQ(rel->pendingCount(), 1u);
+    EXPECT_EQ(rel->windowGaps(), 1u);
+    EXPECT_FALSE(rel->idle());
+    expectStats(*rel, 0, 1, 0, 0, 0);
+
+    d.runTo(12); // the retransmit went out and died too
+    EXPECT_EQ(rel->pendingCount(), 1u);
+    expectStats(*rel, 1, 1, 0, 0, 0);
+
+    d.runIdle();
+    EXPECT_EQ(rel->pendingCount(), 0u);
+    EXPECT_EQ(rel->windowGaps(), 0u);
+    expectStats(*rel, 1, 1, 0, 0, 1);
+    EXPECT_EQ(inj.stats().linkDownDrops, 2u);
+
+    // Later sends on the stream still flow; the receiver never sees
+    // seq 1 and delivers each later seq exactly once.
+    rel->send(0, 1, 22);
+    rel->send(0, 1, 23);
+    d.runIdle();
+    EXPECT_EQ(d.got[1], (std::vector<int>{21, 22, 23}));
+    EXPECT_EQ(rel->pendingCount(), 0u);
+    expectStats(*rel, 1, 3, 0, 0, 1);
+}
+
+TEST(ReliableNet, LostAckMakesADuplicateThatIsAckedNotDelivered)
+{
+    // Seq 1 arrives, its ACK dies at cycle 4, and the retransmit is a
+    // duplicate at the receiver: dropped there but acked again.
+    sim::fault::FaultInjector inj(dropsAt({{4, 1, 0}}));
+    RetryConfig cfg;
+    cfg.timeout = 16;
+    auto rel = makeReliable(2, cfg);
+    rel->setFaultInjector(&inj);
+    Stepper d{*rel};
+
+    rel->send(0, 1, 30);
+    d.runTo(6);
+    EXPECT_EQ(d.got[1], (std::vector<int>{30}));
+    EXPECT_EQ(rel->pendingCount(), 1u);
+    EXPECT_FALSE(rel->idle());
+    expectStats(*rel, 0, 1, 0, 0, 0);
+
+    d.runIdle();
+    EXPECT_EQ(d.got[1], (std::vector<int>{30}));
+    EXPECT_EQ(rel->pendingCount(), 0u);
+    expectStats(*rel, 1, 2, 0, 1, 0);
+}
+
+TEST(ReliableNet, EarlyRetransmitYieldsADuplicateAndAStaleAck)
+{
+    // No loss at all: a timeout shorter than the round trip resends
+    // seq 1 before its ACK is back, so the receiver sees it twice and
+    // the second ACK finds the send already complete.
+    RetryConfig cfg;
+    cfg.timeout = 3;
+    auto rel = makeReliable(2, cfg);
+    Stepper d{*rel};
+
+    rel->send(0, 1, 40);
+    d.runTo(4); // first ACK consumed; the resend is still in flight
+    EXPECT_EQ(rel->pendingCount(), 0u);
+    EXPECT_FALSE(rel->idle());
+    expectStats(*rel, 1, 1, 0, 0, 0);
+
+    d.runIdle();
+    EXPECT_EQ(d.got[1], (std::vector<int>{40}));
+    EXPECT_TRUE(d.got[0].empty());
+    EXPECT_EQ(rel->pendingCount(), 0u);
+    expectStats(*rel, 1, 2, 1, 1, 0);
+
+    // A stale ACK leaves no trace in the window: the next send is
+    // delivered without another retransmit.
+    rel->send(0, 1, 41);
+    d.runTo(d.now + 4);
+    EXPECT_EQ(d.got[1], (std::vector<int>{40, 41}));
+    EXPECT_EQ(rel->pendingCount(), 0u);
+}
+
+/** A payload with checkpoint codecs, so the protocol state can be
+ *  saved and restored on its own. */
+struct Word
+{
+    std::uint64_t v = 0;
+};
+
+template <typename W>
+void
+snapSave(W &w, const Word &x)
+{
+    w.u64(x.v);
+}
+
+template <typename R>
+void
+snapLoad(R &r, Word &x)
+{
+    x.v = r.u64();
+}
+
+TEST(ReliableNet, RestoreRejectsATxWindowTooWideToHold)
+{
+    // Snapshot bytes are untrusted: a stream's txSeq far above its
+    // first pending seq would size the restored window's ring.
+    auto make = [] {
+        return std::make_unique<ReliableNet<Word>>(
+            std::make_unique<net::IdealNetwork<Envelope<Word>>>(2, 2));
+    };
+    auto src = make();
+    for (int i = 0; i < 5; ++i)
+        src->send(1, 0, Word{7});
+    sim::snapshot::Writer w;
+    src->saveState(w);
+    std::ostringstream os;
+    w.finish(os);
+    std::string bytes = os.str();
+
+    // Raise txSeq of stream 1->0 (key 1 << 32, txSeq 5) to 2^40 and
+    // reseal the envelope: 22 header bytes, payload, CRC-32.
+    auto le64 = [](std::uint64_t v) {
+        std::string out(8, '\0');
+        for (int i = 0; i < 8; ++i)
+            out[i] = static_cast<char>(v >> (8 * i));
+        return out;
+    };
+    constexpr std::size_t kHead = 22;
+    const std::size_t at =
+        bytes.find(le64(std::uint64_t{1} << 32) + le64(5), kHead);
+    ASSERT_NE(at, std::string::npos);
+    bytes.replace(at + 8, 8, le64(std::uint64_t{1} << 40));
+    const std::size_t len = bytes.size() - kHead - 4;
+    const std::uint32_t crc = sim::snapshot::crc32(
+        reinterpret_cast<const unsigned char *>(bytes.data() + kHead), len);
+    for (int i = 0; i < 4; ++i)
+        bytes[kHead + len + i] = static_cast<char>(crc >> (8 * i));
+
+    std::istringstream is(bytes);
+    sim::snapshot::Reader r(is); // the resealed envelope is valid
+    auto dst = make();
+    EXPECT_THROW(dst->loadState(r), sim::snapshot::Error);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/snapshot.hh"
+#include "graph/snapcodec.hh"
 #include "ttda/machine.hh"
 #include "workloads/arrivals.hh"
 #include "workloads/dfg_programs.hh"
@@ -114,6 +115,67 @@ TEST(Snapshot, MidServeRoundTripBitIdentical)
     EXPECT_EQ(dst.cycles(), pausedCycle);
     ASSERT_FALSE(dst.serveUntil(sim::neverCycle))
         << "restored epoch failed to finish";
+    expectSameRun(dst, ref);
+}
+
+TEST(Snapshot, GappedReliableWindowRoundTripBitIdentical)
+{
+    // Cut where a ReliableNet tx window holds a gap: an unacked send
+    // below later sends of its stream that are already acked. The
+    // restore must rebuild the window around the gap so that later
+    // sends land in their own slots and the timers fire in order.
+    graph::Program program;
+    const auto cb = workloads::buildFib(program);
+    workloads::ArrivalConfig ac;
+    ac.meanGap = 48.0;
+    ac.seed = 23;
+    const auto arrivals = workloads::arrivalSchedule(ac, 16);
+
+    ttda::Machine ref(program, servingConfig());
+    submitFibs(ref, cb, arrivals);
+    ref.serve();
+    ASSERT_FALSE(ref.deadlocked());
+
+    // The protocol's own checkpoint section, alone.
+    auto protocolBytes = [](const ttda::Machine &m) {
+        sim::snapshot::Writer w;
+        m.reliableNet()->saveState(w);
+        std::ostringstream os;
+        w.finish(os);
+        return os.str();
+    };
+
+    std::string snap, protocol;
+    sim::Cycle pausedCycle = 0;
+    for (sim::Cycle cut = 1; cut < ref.cycles() && snap.empty();
+         cut += 7) {
+        ttda::Machine src(program, servingConfig());
+        submitFibs(src, cb, arrivals);
+        ASSERT_TRUE(src.serveUntil(cut));
+        if (src.reliableNet()->windowGaps() == 0)
+            continue;
+        std::ostringstream os;
+        src.saveSnapshot(os);
+        snap = os.str();
+        protocol = protocolBytes(src);
+        pausedCycle = src.cycles();
+    }
+    ASSERT_FALSE(snap.empty()) << "no cut held a gapped window";
+
+    // Restore into a machine paused with sends of its own in flight,
+    // so the reused windows hold stale live slots.
+    ttda::Machine dst(program, servingConfig());
+    submitFibs(dst, cb, arrivals);
+    ASSERT_TRUE(dst.serveUntil(ref.cycles() / 2));
+    ASSERT_GT(dst.reliableNet()->pendingCount(), 0u);
+    std::istringstream is(snap);
+    dst.restoreSnapshot(is);
+    EXPECT_EQ(dst.cycles(), pausedCycle);
+    EXPECT_GT(dst.reliableNet()->windowGaps(), 0u);
+    EXPECT_TRUE(protocolBytes(dst) == protocol)
+        << "save -> load -> save changed the protocol's bytes";
+
+    ASSERT_FALSE(dst.serveUntil(sim::neverCycle));
     expectSameRun(dst, ref);
 }
 
